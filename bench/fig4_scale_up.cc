@@ -55,12 +55,12 @@ int main(int argc, char** argv) {
   std::printf("  per-doc work stable with input size: %s\n\n",
               linear_work ? "yes" : "no");
 
-  // Real check: the fused morsel engine vs. the seed barrier-per-operator
-  // engine on the same corpus at dop=8. Fusion streams records through the
-  // record-at-a-time chain instead of materializing (and deep-copying) a
-  // Dataset at every operator boundary.
-  std::printf("fused pipelined engine vs. seed engine (entity flow, "
-              "dop=%zu):\n", flags.dop);
+  // Real check: the fused morsel engine vs. the same engine with fusion off
+  // (every operator its own stage, its output materialized as a Dataset) on
+  // the same corpus. Fusion streams records through the record-at-a-time
+  // chain instead of materializing at every operator boundary.
+  std::printf("fused vs. unfused morsel engine (entity flow, dop=%zu):\n",
+              flags.dop);
   std::vector<corpus::Document> docs(all_docs.begin(), all_docs.begin() + 60);
   core::FlowOptions options;
   options.linguistic_analysis = false;
@@ -77,56 +77,54 @@ int main(int argc, char** argv) {
     if (seconds <= 0) seconds = timer.ElapsedSeconds();
     return seconds;
   };
-  dataflow::ExecutorConfig seed_config;
-  seed_config.dop = flags.dop;
-  seed_config.legacy_seed_path = true;
   dataflow::ExecutorConfig unfused_config;
   unfused_config.dop = flags.dop;
   unfused_config.fuse_pipelines = false;
   dataflow::ExecutorConfig fused_config;
   fused_config.dop = flags.dop;
   // Interleave the engines per repetition (best-of) so machine drift hits
-  // all three equally instead of whichever block ran during a busy spell.
-  const dataflow::ExecutorConfig* configs[3] = {&seed_config, &unfused_config,
+  // both equally instead of whichever block ran during a busy spell.
+  const dataflow::ExecutorConfig* configs[2] = {&unfused_config,
                                                 &fused_config};
-  double best[3] = {1e30, 1e30, 1e30};
+  double best[2] = {1e30, 1e30};
   for (int rep = 0; rep < 5; ++rep) {
-    for (int engine = 0; engine < 3; ++engine) {
+    for (int engine = 0; engine < 2; ++engine) {
       best[engine] = std::min(best[engine], timed_run(*configs[engine]));
     }
   }
-  double seed_s = best[0];
-  double unfused_s = best[1];
-  double fused_s = best[2];
-  std::printf("  seed engine:            %.3fs (%.1f ms/doc)\n", seed_s,
-              1000 * seed_s / 60);
-  std::printf("  morsel engine, unfused: %.3fs (%.1fx)\n", unfused_s,
-              seed_s / unfused_s);
-  std::printf("  morsel engine, fused:   %.3fs (%.1fx)\n", fused_s,
-              seed_s / fused_s);
-  // The structural claim behind the speedup is deterministic: fusion
-  // streams records through the fused chains instead of materializing a
-  // deep-copied Dataset at every operator boundary, so the fused engine
-  // materializes a small fraction of the seed engine's bytes. Gate on
-  // that invariant exactly, and on wall time with slack for machine
-  // jitter (the seed engine's time swings several percent run to run).
+  double unfused_s = best[0];
+  double fused_s = best[1];
+  double fused_ms_per_doc = 1000 * fused_s / 60;
+  std::printf("  morsel engine, unfused: %.3fs (%.1f ms/doc)\n", unfused_s,
+              1000 * unfused_s / 60);
+  std::printf("  morsel engine, fused:   %.3fs (%.1f ms/doc, %.2fx)\n",
+              fused_s, fused_ms_per_doc, unfused_s / fused_s);
+  // The structural claim is deterministic: the fused engine materializes
+  // only stage tails, so it copies a small fraction of the bytes the
+  // unfused engine materializes at every operator boundary.
   auto bytes_materialized = [&](const dataflow::ExecutorConfig& config) {
     auto result = core::RunFlow(plan, docs, config);
     if (!result.ok()) std::exit(1);
     return result->total_bytes_materialized;
   };
-  uint64_t seed_bytes = bytes_materialized(seed_config);
+  uint64_t unfused_bytes = bytes_materialized(unfused_config);
   uint64_t fused_bytes = bytes_materialized(fused_config);
-  std::printf("  bytes materialized: seed %.1f MB, fused %.1f MB (%.1fx "
+  std::printf("  bytes materialized: unfused %.1f MB, fused %.1f MB (%.1fx "
               "less copying)\n",
-              static_cast<double>(seed_bytes) / 1e6,
+              static_cast<double>(unfused_bytes) / 1e6,
               static_cast<double>(fused_bytes) / 1e6,
-              static_cast<double>(seed_bytes) /
+              static_cast<double>(unfused_bytes) /
                   static_cast<double>(std::max<uint64_t>(fused_bytes, 1)));
-  bool fused_speedup = seed_s / fused_s >= 1.35 &&
-                       fused_bytes * 2 <= seed_bytes;
-  std::printf("  fused >= 1.35x faster and materializes <= half the bytes: "
-              "%s\n", fused_speedup ? "yes" : "no");
+  // Absolute wall bound at the default --dop=8 on a 4-core x86-64 host:
+  // the median over five runs of the barrier-per-operator engine this
+  // bench used to gate against (17.2 ms/doc), divided by the 1.35x
+  // speedup that gate required.
+  constexpr double kFusedMsPerDocBound = 12.7;
+  bool fused_gate = fused_bytes * 2 <= unfused_bytes &&
+                    fused_ms_per_doc <= kFusedMsPerDocBound;
+  std::printf("  fused materializes <= half the unfused bytes and runs in "
+              "<= %.1f ms/doc: %s\n",
+              kFusedMsPerDocBound, fused_gate ? "yes" : "no");
 
   // Determinism: sink outputs must be byte-identical across DoP.
   auto sink_json = [&](size_t dop) {
@@ -180,7 +178,7 @@ int main(int argc, char** argv) {
   std::printf("\nruntime growth 1 -> 28 units: entity +%.0f%%, linguistic "
               "+%.0f%% (paper: linguistic almost ideal, entity sub-linear)\n",
               100 * ent_degradation, 100 * ling_degradation);
-  bool ok = linear_work && fused_speedup && deterministic &&
+  bool ok = linear_work && fused_gate && deterministic &&
             ling_degradation < 0.1 && ent_degradation > 2 * ling_degradation;
   std::printf("\nFig. 4 shape (linguistic near-ideal scale-up; entity flow "
               "degrades): %s\n", ok ? "HOLDS" : "VIOLATED");
@@ -188,11 +186,11 @@ int main(int argc, char** argv) {
   bench::JsonSummary summary("fig4", flags);
   summary.Set("dop", static_cast<uint64_t>(flags.dop));
   summary.Set("linear_work", linear_work);
-  summary.Set("seed_seconds", seed_s);
   summary.Set("unfused_seconds", unfused_s);
   summary.Set("fused_seconds", fused_s);
-  summary.Set("fused_speedup_x", seed_s / fused_s);
-  summary.Set("seed_bytes_materialized", seed_bytes);
+  summary.Set("fused_ms_per_doc", fused_ms_per_doc);
+  summary.Set("fused_ms_per_doc_bound", kFusedMsPerDocBound);
+  summary.Set("unfused_bytes_materialized", unfused_bytes);
   summary.Set("fused_bytes_materialized", fused_bytes);
   summary.Set("deterministic_across_dop", deterministic);
   summary.Set("entity_degradation", ent_degradation);

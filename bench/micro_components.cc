@@ -22,8 +22,8 @@
 #include "text/tokenizer.h"
 
 // Heap-allocation probe: every global operator new in this binary bumps a
-// counter, so benchmarks can report allocations-per-token for the seed vs
-// view tagger paths.
+// counter, so benchmarks can report allocations-per-token for the tagger
+// paths.
 static std::atomic<uint64_t> g_heap_allocs{0};
 
 void* operator new(std::size_t size) {
@@ -168,24 +168,6 @@ void BM_CrfTag(benchmark::State& state) {
 }
 BENCHMARK(BM_CrfTag)->Arg(256)->Arg(1024);
 
-// Seed CRF path: materialized feature strings, one heap block per position,
-// allocating Viterbi. The baseline for the hot-path speedup.
-void BM_CrfTagSeed(benchmark::State& state) {
-  const ie::CrfTagger& tagger = CrfBenchTagger();
-  std::string text = SampleText(static_cast<size_t>(state.range(0)));
-  text::Tokenizer tokenizer;
-  auto tokens = tokenizer.Tokenize(text);
-  uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    std::vector<ml::PositionFeatures> features =
-        ie::ExtractNerFeatures(tokens);
-    benchmark::DoNotOptimize(tagger.model().Decode(features));
-  }
-  SetTokenCounters(state, tokens.size(),
-                   g_heap_allocs.load(std::memory_order_relaxed) - before);
-}
-BENCHMARK(BM_CrfTagSeed)->Arg(256)->Arg(1024);
-
 void BM_PosTag(benchmark::State& state) {
   const nlp::PosTagger& tagger = PosBenchTagger();
   std::string text = SampleText(static_cast<size_t>(state.range(0)));
@@ -201,25 +183,9 @@ void BM_PosTag(benchmark::State& state) {
 }
 BENCHMARK(BM_PosTag)->Arg(256)->Arg(1024)->Arg(4096);
 
-// Seed POS path: per-token string copies into the HMM's string-keyed
-// emission lookups plus per-position Viterbi allocations.
-void BM_PosTagSeed(benchmark::State& state) {
-  const nlp::PosTagger& tagger = PosBenchTagger();
-  std::string text = SampleText(static_cast<size_t>(state.range(0)));
-  text::Tokenizer tokenizer;
-  auto tokens = tokenizer.Tokenize(text);
-  uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tagger.TagTokensLegacy(tokens));
-  }
-  SetTokenCounters(state, tokens.size(),
-                   g_heap_allocs.load(std::memory_order_relaxed) - before);
-}
-BENCHMARK(BM_PosTagSeed)->Arg(256)->Arg(1024)->Arg(4096);
-
-// CRF feature extraction in isolation: streamed component hashes vs the
-// seed's concatenated feature strings (identical hash output, golden-tested
-// in tests/hotpath_test.cc).
+// CRF feature extraction in isolation: streamed component hashes (equal to
+// the hashes of the concatenated feature strings, golden-tested in
+// tests/hotpath_test.cc).
 void BM_NerFeaturesStreamed(benchmark::State& state) {
   std::string text = SampleText(static_cast<size_t>(state.range(0)));
   text::Tokenizer tokenizer;
@@ -235,19 +201,6 @@ void BM_NerFeaturesStreamed(benchmark::State& state) {
                    g_heap_allocs.load(std::memory_order_relaxed) - before);
 }
 BENCHMARK(BM_NerFeaturesStreamed)->Arg(256)->Arg(1024);
-
-void BM_NerFeaturesSeed(benchmark::State& state) {
-  std::string text = SampleText(static_cast<size_t>(state.range(0)));
-  text::Tokenizer tokenizer;
-  auto tokens = tokenizer.Tokenize(text);
-  uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ie::ExtractNerFeatures(tokens));
-  }
-  SetTokenCounters(state, tokens.size(),
-                   g_heap_allocs.load(std::memory_order_relaxed) - before);
-}
-BENCHMARK(BM_NerFeaturesSeed)->Arg(256)->Arg(1024);
 
 void BM_Boilerplate(benchmark::State& state) {
   std::string content = SampleText(static_cast<size_t>(state.range(0)));

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace wsie {
 
 /// An open-addressing string -> count map (linear probing, power-of-two
@@ -87,11 +89,7 @@ class StringCountMap {
 
   static uint64_t Hash(std::string_view key) {
     // FNV-1a, with 0 remapped so it can double as the empty-slot marker.
-    uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : key) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
+    uint64_t h = Fnv1a(key, kFnv1aShortBasis);
     return h == 0 ? 1 : h;
   }
 
@@ -191,11 +189,7 @@ class StringInterner {
   }
 
   static uint64_t Hash(std::string_view key) {
-    uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : key) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
+    uint64_t h = Fnv1a(key, kFnv1aShortBasis);
     return h == 0 ? 1 : h;
   }
 

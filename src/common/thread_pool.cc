@@ -36,84 +36,23 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  // Chunk indices so that tiny tasks do not drown in queue overhead.
-  size_t chunks = threads_.size() * 4;
-  if (chunks > n) chunks = n;
-  if (chunks == 0) return;
-  size_t per_chunk = (n + chunks - 1) / chunks;
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t begin = c * per_chunk;
-    size_t end = begin + per_chunk;
-    if (end > n) end = n;
-    if (begin >= end) break;
-    Submit([begin, end, &fn] {
-      for (size_t i = begin; i < end; ++i) fn(i);
-    });
-  }
-  Wait();
-}
-
 bool ThreadPool::MorselFor(size_t n, size_t workers,
                            const std::function<bool(size_t)>& fn) {
   if (n == 0) return true;
   if (workers == 0) workers = 1;
   if (workers > n) workers = n;
 
-  // Per-call completion state: MorselFor on a shared pool must not wait on
+  // Per-call completion state: a loop on a shared pool must not wait on
   // unrelated tasks, so it cannot use the pool-global Wait().
   struct State {
     std::atomic<size_t> cursor{0};
     std::atomic<bool> cancelled{false};
     std::mutex mu;
     std::condition_variable done;
-    size_t active = 0;
+    size_t active = 0;    // helpers currently inside drain()
+    bool closed = false;  // set once the caller's own drain() returned
   };
   auto state = std::make_shared<State>();
-  state->active = workers;
-
-  // Capturing `fn` by reference is safe: this call blocks until every
-  // worker task has finished.
-  auto worker = [state, n, &fn] {
-    for (;;) {
-      if (state->cancelled.load(std::memory_order_relaxed)) break;
-      size_t i = state->cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      if (!fn(i)) {
-        state->cancelled.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      --state->active;
-      if (state->active == 0) state->done.notify_all();
-    }
-  };
-  for (size_t w = 0; w < workers; ++w) Submit(worker);
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->done.wait(lock, [&state] { return state->active == 0; });
-  }
-  return !state->cancelled.load(std::memory_order_relaxed);
-}
-
-bool ThreadPool::MorselForWithCaller(size_t n, size_t workers,
-                                     const std::function<bool(size_t)>& fn) {
-  if (n == 0) return true;
-  if (workers == 0) workers = 1;
-  if (workers > n) workers = n;
-
-  struct State {
-    std::atomic<size_t> cursor{0};
-    std::atomic<bool> cancelled{false};
-    std::mutex mu;
-    std::condition_variable done;
-    size_t active = 0;
-  };
-  auto state = std::make_shared<State>();
-  const size_t helpers = workers - 1;  // the caller is worker zero
-  state->active = helpers;
 
   auto drain = [state, n, &fn] {
     for (;;) {
@@ -126,19 +65,28 @@ bool ThreadPool::MorselForWithCaller(size_t n, size_t workers,
       }
     }
   };
-  for (size_t w = 0; w < helpers; ++w) {
+  for (size_t w = 1; w < workers; ++w) {  // the caller is worker zero
     Submit([state, drain] {
+      {
+        // A helper that starts after the caller closed the loop must not
+        // touch `fn`: the call that owns it may already have returned.
+        std::unique_lock<std::mutex> lock(state->mu);
+        if (state->closed) return;
+        ++state->active;
+      }
       drain();
       std::unique_lock<std::mutex> lock(state->mu);
-      --state->active;
-      if (state->active == 0) state->done.notify_all();
+      if (--state->active == 0) state->done.notify_all();
     });
   }
-  // The caller drains inline — guaranteed forward progress even when the
-  // pool is saturated or this thread is itself a pool worker.
+  // The caller drains inline, so the loop makes progress even when the pool
+  // is saturated or this thread is itself a pool worker. Once the cursor is
+  // exhausted it waits only for helpers still running an index, never for
+  // helper tasks that are queued behind busy workers.
   drain();
   {
     std::unique_lock<std::mutex> lock(state->mu);
+    state->closed = true;
     state->done.wait(lock, [&state] { return state->active == 0; });
   }
   return !state->cancelled.load(std::memory_order_relaxed);

@@ -35,31 +35,21 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
-  /// Convenience for the common parallel-for pattern.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  /// Morsel-driven loop: up to `workers` pool tasks pull indices in [0, n)
-  /// from a shared atomic cursor until it is exhausted, so skewed item costs
-  /// never straggle a static pre-split. `fn(i)` returns false to cancel the
-  /// loop — indices not yet claimed are skipped (already-running calls
-  /// finish). Returns true if every index ran, false if cancelled.
+  /// Morsel-driven loop: the calling thread and up to `workers - 1` pool
+  /// tasks pull indices in [0, n) from a shared atomic cursor until it is
+  /// exhausted, so skewed item costs never straggle a static pre-split.
+  /// `fn(i)` returns false to cancel the loop — indices not yet claimed are
+  /// skipped (already-running calls finish). Returns true if every index
+  /// ran, false if cancelled.
   ///
-  /// Unlike Wait(), completion is tracked per call, so several threads may
-  /// run MorselFor() on one shared pool concurrently without waiting on each
-  /// other's unrelated tasks.
+  /// Completion is tracked per call, not through Wait(), so several threads
+  /// may run MorselFor() on one shared pool concurrently without waiting on
+  /// each other's unrelated tasks. Because the caller always makes progress
+  /// itself, the loop completes even when every pool worker is busy — or
+  /// when the caller *is* a pool worker of this very pool — so nested loops
+  /// on a shared pool cannot self-deadlock.
   bool MorselFor(size_t n, size_t workers,
                  const std::function<bool(size_t)>& fn);
-
-  /// MorselFor variant where the calling thread drains the shared cursor
-  /// alongside up to `workers - 1` pool tasks. Because the caller always
-  /// makes progress itself, the loop completes even when every pool worker
-  /// is busy — or when the caller *is* a pool worker of this very pool —
-  /// so the store's compaction merge and the ANN builder can run on the
-  /// shared pool without self-deadlock. Same cancellation contract as
-  /// MorselFor.
-  bool MorselForWithCaller(size_t n, size_t workers,
-                           const std::function<bool(size_t)>& fn);
 
  private:
   void WorkerLoop();

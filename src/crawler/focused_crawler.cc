@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -284,7 +285,7 @@ void FocusedCrawler::ResolveRobots(const std::vector<std::string>& batch) {
       }
       if (config_.retry.ShouldRetry(prefix.status(), attempt)) {
         stats_.virtual_fetch_seconds +=
-            config_.retry.BackoffMs(attempt, wire::Fnv1a(parsed.host)) /
+            config_.retry.BackoffMs(attempt, Fnv1a(parsed.host)) /
             1000.0 / static_cast<double>(config_.num_fetch_threads);
         ++stats_.fetch_retries;
         ++attempt;
@@ -363,7 +364,7 @@ FocusedCrawler::FetchOutcome FocusedCrawler::FetchAndParse(
       outcome.fetch_failed = true;
       return outcome;
     }
-    double backoff = config_.retry.BackoffMs(attempt, wire::Fnv1a(url));
+    double backoff = config_.retry.BackoffMs(attempt, Fnv1a(url));
     outcome.latency_ms += backoff;
     outcome.backoff_ms += backoff;
     ++outcome.retries;

@@ -183,12 +183,6 @@ Result<ExecutionResult> Executor::Run(
     const Plan& plan, const std::map<std::string, Dataset>& sources) const {
   Status admitted = CheckMemoryBudget(plan);
   if (!admitted.ok()) return admitted;
-  if (config_.legacy_seed_path) return RunLegacy(plan, sources);
-  return RunMorselEngine(plan, sources);
-}
-
-Result<ExecutionResult> Executor::RunMorselEngine(
-    const Plan& plan, const std::map<std::string, Dataset>& sources) const {
   Stopwatch total_timer;
   WSIE_TRACE_SPAN("dataflow.run");
   ExecutionResult result;
@@ -215,7 +209,7 @@ Result<ExecutionResult> Executor::RunMorselEngine(
     }
   }
 
-  // Bind sources as borrowed views — no copy (the seed copied here).
+  // Bind sources as borrowed views — no copy.
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (!nodes[i].is_source()) continue;
     auto it = sources.find(nodes[i].source_name);
@@ -237,10 +231,10 @@ Result<ExecutionResult> Executor::RunMorselEngine(
     const int tail_id = group.nodes.back();
 
     // Zero-copy union of the head's inputs: a list of chunk views, never a
-    // concatenated Dataset (the seed deep-copied the union here). A chunk
-    // whose upstream Dataset is owned by this run, is not a sink output, and
-    // has no other consumer left is dead after this stage — the head may
-    // consume it destructively, moving records instead of copying them.
+    // concatenated Dataset. A chunk whose upstream Dataset is owned by this
+    // run, is not a sink output, and has no other consumer left is dead
+    // after this stage — the head may consume it destructively, moving
+    // records instead of copying them.
     struct Chunk {
       std::span<const Record> view;
       Record* movable = nullptr;  // non-null: exclusively owned, may move
@@ -469,7 +463,7 @@ Result<ExecutionResult> Executor::RunMorselEngine(
   }
 
   // Fill sinks last so downstream consumers saw the data first; owned
-  // outputs are moved, not copied (the seed deep-copied every sink).
+  // outputs are moved, not copied.
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i].sink_name.empty()) continue;
     if (data[i].borrowed != nullptr) {
@@ -479,105 +473,6 @@ Result<ExecutionResult> Executor::RunMorselEngine(
     }
   }
 
-  result.total_seconds = total_timer.ElapsedSeconds();
-  GetExecMetrics().runs->Increment();
-  GetExecMetrics().run_wall_ns->Observe(result.total_seconds * 1e9);
-  return result;
-}
-
-// The seed engine, verbatim: barrier per operator, static partitioning,
-// per-Run thread pool, deep copies at union/slice/sink. Kept as a
-// reproducible baseline (`ExecutorConfig::legacy_seed_path`) so the benches
-// can report the fused-vs-seed speedup on identical hardware.
-Result<ExecutionResult> Executor::RunLegacy(
-    const Plan& plan, const std::map<std::string, Dataset>& sources) const {
-  Stopwatch total_timer;
-  ExecutionResult result;
-  std::vector<Dataset> node_outputs(plan.size());
-  ThreadPool pool(config_.dop);
-
-  for (int node_id : plan.TopologicalOrder()) {
-    const Plan::Node& node = plan.nodes()[static_cast<size_t>(node_id)];
-    if (node.is_source()) {
-      auto it = sources.find(node.source_name);
-      if (it == sources.end()) {
-        return Status::NotFound("source '" + node.source_name + "' not bound");
-      }
-      node_outputs[static_cast<size_t>(node_id)] = it->second;
-      if (!node.sink_name.empty()) {
-        result.sink_outputs[node.sink_name] = it->second;
-      }
-      continue;
-    }
-    // Union of all inputs.
-    Dataset input;
-    for (int in : node.inputs) {
-      const Dataset& upstream = node_outputs[static_cast<size_t>(in)];
-      input.insert(input.end(), upstream.begin(), upstream.end());
-    }
-
-    OperatorRunStats stats;
-    stats.name = node.op->name();
-    stats.records_in = input.size();
-
-    // Start-up phase: serial, not amortized by DoP.
-    Stopwatch open_timer;
-    Status open_status = node.op->Open();
-    stats.open_seconds = open_timer.ElapsedSeconds();
-    if (!open_status.ok()) return open_status;
-
-    // Parallel batch phase.
-    Stopwatch process_timer;
-    size_t partitions = config_.dop;
-    size_t per_partition = (input.size() + partitions - 1) / partitions;
-    if (per_partition < config_.min_partition_records) {
-      per_partition = config_.min_partition_records;
-    }
-    if (per_partition == 0) per_partition = 1;
-    partitions = (input.size() + per_partition - 1) / per_partition;
-
-    std::vector<Dataset> partition_outputs(partitions);
-    std::mutex error_mu;
-    Status first_error;
-    for (size_t p = 0; p < partitions; ++p) {
-      pool.Submit([&, p] {
-        size_t begin = p * per_partition;
-        size_t end = std::min(begin + per_partition, input.size());
-        Dataset slice(input.begin() + static_cast<long>(begin),
-                      input.begin() + static_cast<long>(end));
-        Dataset out;
-        Status st = node.op->ProcessBatch(slice, &out);
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = st;
-          return;
-        }
-        partition_outputs[p] = std::move(out);
-      });
-    }
-    pool.Wait();
-    node.op->Close();
-    if (!first_error.ok()) return first_error;
-
-    Dataset& output = node_outputs[static_cast<size_t>(node_id)];
-    for (Dataset& part : partition_outputs) {
-      for (Record& r : part) output.push_back(std::move(r));
-    }
-    stats.process_seconds = process_timer.ElapsedSeconds();
-    stats.records_out = output.size();
-    for (const Record& r : output) stats.bytes_out += r.ByteSize();
-    result.total_bytes_materialized += stats.bytes_out;
-    PublishOperatorStats(stats);
-    result.operator_stats.push_back(std::move(stats));
-
-    if (!node.sink_name.empty()) {
-      result.sink_outputs[node.sink_name] = output;
-    }
-  }
-  // Freeing the materialized per-operator datasets is part of this
-  // engine's cost (the morsel engine never allocates them); release them
-  // inside the timed region so run.wall_ns charges it.
-  node_outputs.clear();
   result.total_seconds = total_timer.ElapsedSeconds();
   GetExecMetrics().runs->Increment();
   GetExecMetrics().run_wall_ns->Observe(result.total_seconds * 1e9);

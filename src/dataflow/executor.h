@@ -44,10 +44,6 @@ struct ExecutorConfig {
   /// "hard lower bound") runs once per process instead of once per Run().
   /// Cached operators stay open until Executor::ClearOpenCache().
   bool cache_opens = true;
-  /// Run the pre-fusion barrier-per-operator engine (static partitioning,
-  /// per-Run thread pool, deep copies at union/slice/sink). Kept as a
-  /// reproducible baseline for the fused-vs-unfused bench comparison.
-  bool legacy_seed_path = false;
   /// Optional shared worker pool. When null the executor creates its own
   /// pool at construction and reuses it across Run() calls.
   std::shared_ptr<ThreadPool> pool;
@@ -143,10 +139,6 @@ class Executor {
 
  private:
   Status CheckMemoryBudget(const Plan& plan) const;
-  Result<ExecutionResult> RunMorselEngine(
-      const Plan& plan, const std::map<std::string, Dataset>& sources) const;
-  Result<ExecutionResult> RunLegacy(
-      const Plan& plan, const std::map<std::string, Dataset>& sources) const;
 
   ExecutorConfig config_;
   std::shared_ptr<ThreadPool> pool_;

@@ -1,5 +1,6 @@
 #include "dataflow/fault_injection.h"
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "fault/wire_format.h"
 
@@ -18,7 +19,7 @@ thread_local bool t_has_failed_key = false;
 uint64_t FaultInjectingOperator::KeyFor(std::span<const Record> input) {
   uint64_t key = fault::wire::Mix(0x1ef7ULL, input.size());
   for (const Record& r : input) {
-    key = fault::wire::Mix(key, fault::wire::Fnv1a(r.ToJson()));
+    key = fault::wire::Mix(key, Fnv1a(r.ToJson()));
   }
   return key;
 }

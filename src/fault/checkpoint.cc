@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/hash.h"
 #include "fault/wire_format.h"
 
 namespace wsie::fault {
@@ -21,7 +22,7 @@ std::string Checkpoint::Serialize() const {
     wire::PutString(&out, name);
     wire::PutString(&out, payload);
   }
-  wire::PutU64(&out, wire::Fnv1a(out));
+  wire::PutU64(&out, Fnv1a(out));
   return out;
 }
 
@@ -44,7 +45,7 @@ Result<Checkpoint> Checkpoint::Deserialize(std::string_view bytes) {
     return Status::InvalidArgument("checkpoint: malformed checksum");
   }
   std::string_view covered = bytes.substr(0, checksum_start);
-  if (wire::Fnv1a(covered) != stored_checksum) {
+  if (Fnv1a(covered) != stored_checksum) {
     return Status::InvalidArgument("checkpoint: checksum mismatch");
   }
 

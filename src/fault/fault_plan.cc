@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "fault/wire_format.h"
 #include "obs/metrics.h"
@@ -51,7 +52,7 @@ FaultPlan::FaultPlan(FaultPlanConfig config) : config_(config) {}
 bool FaultPlan::HostIsFlaky(std::string_view host) const {
   // One seeded draw per host name; independent of everything else the plan
   // decides, so adding fault kinds never reshuffles host assignment.
-  uint64_t h = wire::Mix(config_.seed, wire::Fnv1a(host));
+  uint64_t h = wire::Mix(config_.seed, Fnv1a(host));
   Rng rng(wire::Mix(h, 0xf1ab7ULL));
   return rng.NextDouble() < config_.flaky_host_frac;
 }
@@ -70,9 +71,8 @@ FaultDecision FaultPlan::Decide(std::string_view host, std::string_view path,
 
   // The decision RNG is derived from (seed, host, path, attempt) only:
   // replayable from any checkpoint, identical across thread schedules.
-  Rng rng(wire::Mix(wire::Mix(config_.seed, wire::Fnv1a(host)),
-                    wire::Mix(wire::Fnv1a(path),
-                              static_cast<uint64_t>(attempt))));
+  Rng rng(wire::Mix(wire::Mix(config_.seed, Fnv1a(host)),
+                    wire::Mix(Fnv1a(path), static_cast<uint64_t>(attempt))));
   double u = rng.NextDouble();
   double cum = 0.0;
   auto hit = [&](double p) {
@@ -115,7 +115,7 @@ bool FaultPlan::RobotsAvailable(std::string_view host, int attempt) const {
   if (attempt >= config_.max_faulty_attempts) return true;
   const HostFaultProfile& profile = ProfileFor(host);
   if (profile.robots_flap_prob <= 0.0) return true;
-  Rng rng(wire::Mix(wire::Mix(config_.seed, wire::Fnv1a(host)),
+  Rng rng(wire::Mix(wire::Mix(config_.seed, Fnv1a(host)),
                     wire::Mix(0x0b075ULL, static_cast<uint64_t>(attempt))));
   return rng.NextDouble() >= profile.robots_flap_prob;
 }

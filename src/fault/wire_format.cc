@@ -74,15 +74,6 @@ bool GetString(std::string_view* in, std::string* s) {
   return true;
 }
 
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 uint64_t Mix(uint64_t a, uint64_t b) {
   uint64_t z = a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

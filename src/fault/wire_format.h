@@ -23,9 +23,6 @@ bool GetU64(std::string_view* in, uint64_t* v);
 bool GetDouble(std::string_view* in, double* v);
 bool GetString(std::string_view* in, std::string* s);
 
-/// FNV-1a over `bytes`; the checkpoint trailer checksum.
-uint64_t Fnv1a(std::string_view bytes);
-
 /// splitmix64-style combiner for deriving per-(host,path,attempt) fault
 /// decision seeds from the plan seed.
 uint64_t Mix(uint64_t a, uint64_t b);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/char_class.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "text/tokenizer.h"
 
@@ -84,32 +85,32 @@ struct PrefixSeeds {
 
 constexpr PrefixSeeds MakeSeeds(std::string_view prefix) {
   PrefixSeeds s;
-  const uint64_t p = ml::HashFeatureSeed(ml::kFnvOffsetBasis, prefix);
-  s.w = ml::HashFeatureSeed(p, "w=");
-  s.lw = ml::HashFeatureSeed(p, "lw=");
-  s.sh = ml::HashFeatureSeed(p, "sh=");
-  s.csh = ml::HashFeatureSeed(p, "csh=");
-  s.pre = ml::HashFeatureSeed(p, "pre=");
-  s.suf = ml::HashFeatureSeed(p, "suf=");
-  s.hasdigit = ml::HashFeatureSeed(p, "hasdigit");
-  s.hashyphen = ml::HashFeatureSeed(p, "hashyphen");
-  s.allcaps = ml::HashFeatureSeed(p, "allcaps");
-  s.initcap = ml::HashFeatureSeed(p, "initcap");
-  s.len[0] = ml::HashFeatureSeed(p, "len=2");
-  s.len[1] = ml::HashFeatureSeed(p, "len=4");
-  s.len[2] = ml::HashFeatureSeed(p, "len=8");
-  s.len[3] = ml::HashFeatureSeed(p, "len=9");
+  const uint64_t p = Fnv1a(prefix, kFnv1aShortBasis);
+  s.w = Fnv1a("w=", p);
+  s.lw = Fnv1a("lw=", p);
+  s.sh = Fnv1a("sh=", p);
+  s.csh = Fnv1a("csh=", p);
+  s.pre = Fnv1a("pre=", p);
+  s.suf = Fnv1a("suf=", p);
+  s.hasdigit = Fnv1a("hasdigit", p);
+  s.hashyphen = Fnv1a("hashyphen", p);
+  s.allcaps = Fnv1a("allcaps", p);
+  s.initcap = Fnv1a("initcap", p);
+  s.len[0] = Fnv1a("len=2", p);
+  s.len[1] = Fnv1a("len=4", p);
+  s.len[2] = Fnv1a("len=8", p);
+  s.len[3] = Fnv1a("len=9", p);
   return s;
 }
 
 // Context prefixes, in emission-slot order: focus, previous, next.
 constexpr PrefixSeeds kSeeds[3] = {MakeSeeds(""), MakeSeeds("p1:"),
                                    MakeSeeds("n1:")};
-constexpr uint64_t kBosHash = ml::HashFeatureSeed(ml::kFnvOffsetBasis, "BOS");
-constexpr uint64_t kEosHash = ml::HashFeatureSeed(ml::kFnvOffsetBasis, "EOS");
-constexpr uint64_t kC3Seed = ml::HashFeatureSeed(ml::kFnvOffsetBasis, "c3=");
-constexpr uint64_t kP2wSeed = ml::HashFeatureSeed(ml::kFnvOffsetBasis, "p2w=");
-constexpr uint64_t kN2wSeed = ml::HashFeatureSeed(ml::kFnvOffsetBasis, "n2w=");
+constexpr uint64_t kBosHash = Fnv1a("BOS", kFnv1aShortBasis);
+constexpr uint64_t kEosHash = Fnv1a("EOS", kFnv1aShortBasis);
+constexpr uint64_t kC3Seed = Fnv1a("c3=", kFnv1aShortBasis);
+constexpr uint64_t kP2wSeed = Fnv1a("p2w=", kFnv1aShortBasis);
+constexpr uint64_t kN2wSeed = Fnv1a("n2w=", kFnv1aShortBasis);
 
 /// All prefix-continued hashes for one token, computed in a single pass
 /// over its bytes and reused wherever the token appears as focus / p1 / n1 /
@@ -141,18 +142,18 @@ void ComputeTokenHashes(std::string_view token, TokenHashes* out) {
     const char lc = AsciiLowerChar(c);
     const char sc = ShapeChar(c);
     for (int p = 0; p < 3; ++p) {
-      out->w[p] = ml::HashFeatureChar(out->w[p], c);
-      out->lw[p] = ml::HashFeatureChar(out->lw[p], lc);
-      out->sh[p] = ml::HashFeatureChar(out->sh[p], sc);
+      out->w[p] = Fnv1aByte(out->w[p], c);
+      out->lw[p] = Fnv1aByte(out->lw[p], lc);
+      out->sh[p] = Fnv1aByte(out->sh[p], sc);
     }
     if (sc != last_shape) {
       for (int p = 0; p < 3; ++p) {
-        out->csh[p] = ml::HashFeatureChar(out->csh[p], sc);
+        out->csh[p] = Fnv1aByte(out->csh[p], sc);
       }
       last_shape = sc;
     }
-    out->p2w = ml::HashFeatureChar(out->p2w, lc);
-    out->n2w = ml::HashFeatureChar(out->n2w, lc);
+    out->p2w = Fnv1aByte(out->p2w, lc);
+    out->n2w = Fnv1aByte(out->n2w, lc);
     out->hasdigit |= IsAsciiDigit(c);
     out->hashyphen |= c == '-';
     out->allcaps &= IsAsciiUpper(c);
@@ -162,12 +163,12 @@ void ComputeTokenHashes(std::string_view token, TokenHashes* out) {
   for (int p = 0; p < 3; ++p) {
     uint64_t h = kSeeds[p].pre;
     for (size_t i = 0; i < max_affix; ++i) {
-      h = ml::HashFeatureChar(h, token[i]);
+      h = Fnv1aByte(h, token[i]);
       if (i >= 1) out->pre[p][i - 1] = h;
     }
     for (size_t len = 2; len <= max_affix; ++len) {
       out->suf[p][len - 2] =
-          ml::HashFeatureSeed(kSeeds[p].suf, token.substr(token.size() - len));
+          Fnv1a(token.substr(token.size() - len), kSeeds[p].suf);
     }
   }
   out->len_bucket_idx = token.size() <= 2   ? 0
@@ -244,7 +245,7 @@ void ExtractNerFeaturesInto(const std::vector<text::Token>& tokens,
     EmitTokenFeatures(token_hashes[i], 0, out);
     std::string_view w = tokens[i].text;
     for (size_t c = 0; c + 3 <= w.size(); ++c) {
-      out->Add(ml::HashFeatureSeed(kC3Seed, w.substr(c, 3)));
+      out->Add(Fnv1a(w.substr(c, 3), kC3Seed));
     }
     if (i > 0) {
       EmitTokenFeatures(token_hashes[i - 1], 1, out);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace wsie::ml {
@@ -21,7 +22,7 @@ double LogSumExp(const std::vector<double>& xs) {
 }  // namespace
 
 uint64_t HashFeature(std::string_view feature) {
-  return HashFeatureSeed(kFnvOffsetBasis, feature);
+  return Fnv1a(feature, kFnv1aShortBasis);
 }
 
 LinearChainCrf::LinearChainCrf(int num_labels, size_t feature_dim)

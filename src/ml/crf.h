@@ -14,35 +14,9 @@ namespace wsie::ml {
 /// more robust NER tools, with configurable memory consumption").
 using PositionFeatures = std::vector<uint64_t>;
 
-/// FNV-1a constants, exposed so feature extractors can hash templates by
-/// STREAMING the pieces through the state instead of concatenating strings.
-inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
-inline constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-/// Continues an FNV-1a hash over `piece` starting from `seed`. Because
-/// FNV-1a folds bytes left-to-right through a single 64-bit state,
-///   HashFeature(a + b) == HashFeatureSeed(HashFeatureSeed(kFnvOffsetBasis,
-///                                                         a), b)
-/// for any split — so a feature template "p1:w=" + token hashes
-/// byte-identically from a precomputed prefix seed plus the token bytes,
-/// with no string materialization. (Arbitrary substring hashes can NOT be
-/// combined — only prefix-seed continuation preserves equality.)
-constexpr uint64_t HashFeatureSeed(uint64_t seed, std::string_view piece) {
-  for (char c : piece) {
-    seed ^= static_cast<unsigned char>(c);
-    seed *= kFnvPrime;
-  }
-  return seed;
-}
-
-/// Single-character continuation (hot loops folding one byte at a time).
-constexpr uint64_t HashFeatureChar(uint64_t seed, char c) {
-  seed ^= static_cast<unsigned char>(c);
-  return seed * kFnvPrime;
-}
-
 /// Stable 64-bit FNV-1a string hash used for feature hashing. Equivalent to
-/// HashFeatureSeed(kFnvOffsetBasis, feature).
+/// Fnv1a(feature, kFnv1aShortBasis), so streaming extractors can continue
+/// the hash from a template-prefix seed (common/hash.h).
 uint64_t HashFeature(std::string_view feature);
 
 /// Flat per-sentence hashed-feature storage: all position features live in

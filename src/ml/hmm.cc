@@ -19,7 +19,6 @@ TrigramHmm::TrigramHmm(int num_states)
 
 void TrigramHmm::AddTrainingSequence(const LabeledSequence& seq) {
   finalized_ = false;
-  tables_built_ = false;
   const size_t n = seq.observations.size();
   int t2 = -1, t1 = -1;  // virtual start states folded into bigram/unigram
   for (size_t i = 0; i < n; ++i) {
@@ -137,7 +136,6 @@ void TrigramHmm::Finalize() {
   for (int t = 0; t < s; ++t) {
     oov_row_[t] = -std::log(static_cast<double>(num_states_)) - 12.0;
   }
-  tables_built_ = true;
   finalized_ = true;
 }
 
@@ -224,12 +222,6 @@ std::vector<double> TrigramHmm::EmissionLogProbs(
 void TrigramHmm::EmissionLogProbsInto(std::string_view word,
                                       double* out) const {
   const int s = num_states_;
-  if (!tables_built_) {
-    // Pre-Finalize fallback (legacy semantics): compute per call.
-    std::vector<double> row = EmissionLogProbs(std::string(word));
-    std::copy(row.begin(), row.end(), out);
-    return;
-  }
   uint32_t id = vocab_.Find(word);
   if (id != StringInterner::kNotFound) {
     const double* row = emission_log_.data() + static_cast<size_t>(id) * s;
@@ -262,7 +254,7 @@ void TrigramHmm::Decode(const std::vector<std::string_view>& observations,
                         std::vector<int>* states) const {
   const size_t n = observations.size();
   states->clear();
-  if (n == 0) return;
+  if (n == 0 || !finalized_) return;
   const int s = num_states_;
   const size_t pairs = static_cast<size_t>(s) * s;
   // Viterbi over tag-pair states (prev, cur). delta[(prev, cur)]. All work
@@ -283,7 +275,6 @@ void TrigramHmm::Decode(const std::vector<std::string_view>& observations,
     // Virtual prev state 0; collapse all (prev,cur) onto prev=0 at t=0.
     delta[static_cast<size_t>(0) * s + cur] = score;
   }
-  const bool use_tables = !trans3_.empty();
   for (size_t i = 1; i < n; ++i) {
     EmissionLogProbsInto(observations[i], em);
     std::fill(next, next + pairs, kLogZero);
@@ -293,39 +284,24 @@ void TrigramHmm::Decode(const std::vector<std::string_view>& observations,
       for (int cur = 0; cur < s; ++cur) {
         double base = delta[static_cast<size_t>(prev) * s + cur];
         if (base <= kLogZero) continue;
-        if (use_tables) {
-          // The transition row for this (prev, cur) context is contiguous;
-          // reading it directly is the same table load LogTransition()
-          // performs, minus the per-transition call and branches. Same
-          // operands in the same order, so scores stay bit-identical.
-          const double* trow =
-              first_step
-                  ? trans2_.data() + static_cast<size_t>(cur) * s
-                  : trans3_.data() +
-                        (static_cast<size_t>(prev) * s + cur) * s;
-          double* nrow = next + static_cast<size_t>(cur) * s;
-          int* brow = bp + static_cast<size_t>(cur) * s;
-          for (int nxt = 0; nxt < s; ++nxt) {
-            // Branchless select: same adds and the same strict comparison as
-            // the guarded-store form (element-wise, so results stay
-            // bit-identical), but the compiler can vectorize it.
-            double score = base + trow[nxt] + em[nxt];
-            const bool better = score > nrow[nxt];
-            nrow[nxt] = better ? score : nrow[nxt];
-            brow[nxt] = better ? prev : brow[nxt];
-          }
-        } else {
-          // Pre-Finalize fallback: interpolated transitions computed per call.
-          for (int nxt = 0; nxt < s; ++nxt) {
-            double score =
-                base + LogTransition(first_step ? -1 : prev, cur, nxt) +
-                em[nxt];
-            size_t idx = static_cast<size_t>(cur) * s + nxt;
-            if (score > next[idx]) {
-              next[idx] = score;
-              bp[idx] = prev;
-            }
-          }
+        // The transition row for this (prev, cur) context is contiguous;
+        // reading it directly is the same table load LogTransition()
+        // performs, minus the per-transition call and branches. Same
+        // operands in the same order, so scores stay bit-identical.
+        const double* trow =
+            first_step
+                ? trans2_.data() + static_cast<size_t>(cur) * s
+                : trans3_.data() + (static_cast<size_t>(prev) * s + cur) * s;
+        double* nrow = next + static_cast<size_t>(cur) * s;
+        int* brow = bp + static_cast<size_t>(cur) * s;
+        for (int nxt = 0; nxt < s; ++nxt) {
+          // Branchless select: same adds and the same strict comparison as
+          // the guarded-store form (element-wise, so results stay
+          // bit-identical), but the compiler can vectorize it.
+          double score = base + trow[nxt] + em[nxt];
+          const bool better = score > nrow[nxt];
+          nrow[nxt] = better ? score : nrow[nxt];
+          brow[nxt] = better ? prev : brow[nxt];
         }
       }
     }

@@ -59,16 +59,18 @@ class TrigramHmm {
   void AddTrainingSequence(const LabeledSequence& seq);
 
   /// Freezes counts into probability tables (transitions, interned
-  /// emission/suffix rows). Must be called once before Decode(); subsequent
-  /// AddTrainingSequence() calls require re-Finalize().
+  /// emission/suffix rows). Must be called before Decode(); an
+  /// AddTrainingSequence() call un-finalizes the model until the next
+  /// Finalize().
   void Finalize();
 
   /// Viterbi-decodes the most likely state sequence for `observations`.
-  /// Requires Finalize() to have been called.
+  /// Returns no states unless the model is finalized.
   std::vector<int> Decode(const std::vector<std::string>& observations) const;
 
-  /// Allocation-free overload: decodes into `*states` reusing `*scratch`.
-  /// Token views need not outlive the call.
+  /// Allocation-free overload: decodes into `*states` reusing `*scratch`
+  /// (left empty unless the model is finalized). Token views need not
+  /// outlive the call.
   void Decode(const std::vector<std::string_view>& observations,
               ViterbiScratch* scratch, std::vector<int>* states) const;
 
@@ -106,7 +108,8 @@ class TrigramHmm {
   /// Returns false when the suffix has no counts (row not written).
   bool ComputeSuffixRow(const std::vector<uint32_t>& counts,
                         double* out) const;
-  /// Flat-table emission row for `word` into out[0..num_states).
+  /// Flat-table emission row for `word` into out[0..num_states). Requires
+  /// Finalize().
   void EmissionLogProbsInto(std::string_view word, double* out) const;
 
   int num_states_;
@@ -136,7 +139,6 @@ class TrigramHmm {
   std::vector<double> emission_log_;  // [word_id * num_states + tag]
   std::vector<double> suffix_log_;    // [suffix_id * num_states + tag]
   std::vector<double> oov_row_;       // [tag]
-  bool tables_built_ = false;
 
   static uint64_t TrigramKey(int t2, int t1, int t0) {
     return (static_cast<uint64_t>(t2) << 32) |

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/epoch.h"
+#include "common/hash.h"
 
 namespace wsie::serve {
 namespace {
@@ -474,19 +475,17 @@ void QueryEngine::ExecuteBatch(const Request* requests, Response* responses,
 }
 
 uint64_t QueryEngine::Digest(const Request& request) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a
-  auto mix_byte = [&h](uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  };
-  auto mix_u64 = [&](uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<uint8_t>(v >> (8 * i)));
+  uint64_t h = kFnv1aShortBasis;
+  auto mix_u64 = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = Fnv1aByte(h, static_cast<uint8_t>(v >> (8 * i)));
+    }
   };
   auto mix_str = [&](const std::string& s) {
     mix_u64(s.size());
-    for (char c : s) mix_byte(static_cast<uint8_t>(c));
+    h = Fnv1a(s, h);
   };
-  mix_byte(static_cast<uint8_t>(request.kind));
+  h = Fnv1aByte(h, static_cast<uint8_t>(request.kind));
   mix_str(request.name);
   mix_str(request.name_b);
   mix_u64(static_cast<uint64_t>(request.filter.corpus));

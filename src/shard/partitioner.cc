@@ -18,8 +18,8 @@ HashRing::HashRing(size_t num_shards, HashRingOptions options)
       label += std::to_string(shard);
       label += '#';
       label += std::to_string(vnode);
-      points_.push_back(
-          Point{Mix64(Fnv1a64(label)), static_cast<int>(shard)});
+      points_.push_back(Point{Mix64(Fnv1a(label, kFnv1aShortBasis)),
+                              static_cast<int>(shard)});
     }
   }
   std::sort(points_.begin(), points_.end(), [](const Point& a, const Point& b) {

@@ -6,22 +6,9 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace wsie::shard {
-
-inline constexpr uint64_t kFnv64Offset = 1469598103934665603ull;
-inline constexpr uint64_t kFnv64Prime = 1099511628211ull;
-
-/// 64-bit FNV-1a over `bytes`, optionally continuing from a prior hash
-/// (the same streaming-continuation idiom as the CRF feature hasher).
-constexpr uint64_t Fnv1a64(std::string_view bytes,
-                           uint64_t seed = kFnv64Offset) {
-  uint64_t hash = seed;
-  for (char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnv64Prime;
-  }
-  return hash;
-}
 
 /// Murmur3 finalizer: full-avalanche bit mix. FNV-1a alone diffuses low
 /// bits well but high bits poorly for short keys, and ring placement
@@ -58,7 +45,7 @@ class HashRing {
   /// `hash` should already be well-mixed; ShardForKey applies Mix64.
   int ShardForHash(uint64_t hash) const;
   int ShardForKey(std::string_view key) const {
-    return ShardForHash(Mix64(Fnv1a64(key)));
+    return ShardForHash(Mix64(Fnv1a(key, kFnv1aShortBasis)));
   }
 
   size_t num_shards() const { return num_shards_; }

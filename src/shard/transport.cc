@@ -10,8 +10,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/hash.h"
 #include "obs/trace.h"
-#include "shard/partitioner.h"
 
 namespace wsie::shard {
 namespace {
@@ -55,7 +55,7 @@ std::string EncodeFrame(const Frame& frame) {
   PutU64(frame.parent_span, &out);
   PutU64(frame.payload.size(), &out);
   out.append(frame.payload);
-  PutU64(Fnv1a64(frame.payload), &out);
+  PutU64(Fnv1a(frame.payload, kFnv1aShortBasis), &out);
   return out;
 }
 
@@ -82,7 +82,8 @@ bool ExtractFrame(std::string* buf, Frame* frame, Status* error) {
   frame->trace_id = GetU64(p + 20);
   frame->parent_span = GetU64(p + 28);
   frame->payload.assign(p + kHeaderBytes, payload_len);
-  if (GetU64(p + kHeaderBytes + payload_len) != Fnv1a64(frame->payload)) {
+  if (GetU64(p + kHeaderBytes + payload_len) !=
+      Fnv1a(frame->payload, kFnv1aShortBasis)) {
     *error = Status::InvalidArgument("transport: frame checksum mismatch");
     return false;
   }
@@ -236,7 +237,7 @@ Result<Frame> ReadFrame(int fd) {
   }
   char trailer[kTrailerBytes];
   WSIE_RETURN_NOT_OK(RecvExact(fd, trailer, sizeof(trailer)));
-  if (GetU64(trailer) != Fnv1a64(frame.payload)) {
+  if (GetU64(trailer) != Fnv1a(frame.payload, kFnv1aShortBasis)) {
     return Status::InvalidArgument("transport: frame checksum mismatch");
   }
   return frame;

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/varint.h"
+
 namespace wsie::shard {
 namespace {
 
@@ -49,7 +51,7 @@ Status DecodeValueImpl(std::string_view* in, dataflow::Value* out, int depth) {
       return Status::OK();
     case kInt: {
       uint64_t raw = 0;
-      if (!ReadVarint(in, &raw)) return Truncated();
+      if (!GetVarint(in, &raw)) return Truncated();
       *out = dataflow::Value(UnZigZag(raw));
       return Status::OK();
     }
@@ -67,7 +69,7 @@ Status DecodeValueImpl(std::string_view* in, dataflow::Value* out, int depth) {
     }
     case kString: {
       uint64_t len = 0;
-      if (!ReadVarint(in, &len)) return Truncated();
+      if (!GetVarint(in, &len)) return Truncated();
       if (len > in->size()) return Truncated();
       *out = dataflow::Value(std::string(in->substr(0, len)));
       in->remove_prefix(len);
@@ -75,7 +77,7 @@ Status DecodeValueImpl(std::string_view* in, dataflow::Value* out, int depth) {
     }
     case kArray: {
       uint64_t count = 0;
-      if (!ReadVarint(in, &count)) return Truncated();
+      if (!GetVarint(in, &count)) return Truncated();
       if (count > in->size()) return Truncated();  // >= 1 byte per element
       dataflow::Value::Array array;
       array.reserve(count);
@@ -89,12 +91,12 @@ Status DecodeValueImpl(std::string_view* in, dataflow::Value* out, int depth) {
     }
     case kObject: {
       uint64_t count = 0;
-      if (!ReadVarint(in, &count)) return Truncated();
+      if (!GetVarint(in, &count)) return Truncated();
       if (count > in->size()) return Truncated();
       dataflow::Value::Object object;
       for (uint64_t i = 0; i < count; ++i) {
         uint64_t len = 0;
-        if (!ReadVarint(in, &len)) return Truncated();
+        if (!GetVarint(in, &len)) return Truncated();
         if (len > in->size()) return Truncated();
         std::string key(in->substr(0, len));
         in->remove_prefix(len);
@@ -113,29 +115,6 @@ Status DecodeValueImpl(std::string_view* in, dataflow::Value* out, int depth) {
 
 }  // namespace
 
-void AppendVarint(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-bool ReadVarint(std::string_view* in, uint64_t* out) {
-  uint64_t value = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (in->empty()) return false;
-    const uint8_t byte = static_cast<uint8_t>(in->front());
-    in->remove_prefix(1);
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *out = value;
-      return true;
-    }
-  }
-  return false;  // varint longer than 64 bits
-}
-
 void EncodeValue(const dataflow::Value& value, std::string* out) {
   if (value.is_null()) {
     out->push_back(static_cast<char>(kNull));
@@ -143,7 +122,7 @@ void EncodeValue(const dataflow::Value& value, std::string* out) {
     out->push_back(static_cast<char>(value.AsBool() ? kTrue : kFalse));
   } else if (value.is_int()) {
     out->push_back(static_cast<char>(kInt));
-    AppendVarint(ZigZag(value.AsInt()), out);
+    PutVarint(out, ZigZag(value.AsInt()));
   } else if (value.is_double()) {
     out->push_back(static_cast<char>(kDouble));
     uint64_t bits = 0;
@@ -155,19 +134,19 @@ void EncodeValue(const dataflow::Value& value, std::string* out) {
   } else if (value.is_string()) {
     out->push_back(static_cast<char>(kString));
     const std::string& s = value.AsString();
-    AppendVarint(s.size(), out);
+    PutVarint(out, s.size());
     out->append(s);
   } else if (value.is_array()) {
     out->push_back(static_cast<char>(kArray));
     const auto& array = value.AsArray();
-    AppendVarint(array.size(), out);
+    PutVarint(out, array.size());
     for (const dataflow::Value& element : array) EncodeValue(element, out);
   } else {
     out->push_back(static_cast<char>(kObject));
     const auto& object = value.AsObject();
-    AppendVarint(object.size(), out);
+    PutVarint(out, object.size());
     for (const auto& [key, field] : object) {
-      AppendVarint(key.size(), out);
+      PutVarint(out, key.size());
       out->append(key);
       EncodeValue(field, out);
     }
@@ -179,13 +158,13 @@ Status DecodeValue(std::string_view* in, dataflow::Value* out) {
 }
 
 void EncodeDataset(const dataflow::Dataset& records, std::string* out) {
-  AppendVarint(records.size(), out);
+  PutVarint(out, records.size());
   for (const dataflow::Record& record : records) EncodeValue(record, out);
 }
 
 Result<dataflow::Dataset> DecodeDataset(std::string_view bytes) {
   uint64_t count = 0;
-  if (!ReadVarint(&bytes, &count)) return Truncated();
+  if (!GetVarint(&bytes, &count)) return Truncated();
   if (count > bytes.size()) {  // every record takes >= 1 byte
     return Status::InvalidArgument("wire: record count exceeds payload");
   }

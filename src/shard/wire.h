@@ -28,9 +28,6 @@ namespace wsie::shard {
 ///   array              -> varint count + elements
 ///   object             -> varint count + (string key, value) pairs
 
-void AppendVarint(uint64_t v, std::string* out);
-bool ReadVarint(std::string_view* in, uint64_t* out);
-
 void EncodeValue(const dataflow::Value& value, std::string* out);
 /// Decodes one value from the front of `*in`, advancing it past the
 /// consumed bytes. Rejects truncated or malformed input with a Status.

@@ -125,7 +125,7 @@ Result<Segment> MergeSegmentsParallel(
   // so no (term, corpus, type, method) key straddles two parts.
   std::vector<MergedPart> parts(partitions);
   const size_t total = universe.size();
-  pool->MorselForWithCaller(
+  pool->MorselFor(
       partitions, workers, [&](size_t p) {
         Stopwatch watch;
         const size_t lo_at = p * total / partitions;

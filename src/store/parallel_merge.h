@@ -35,8 +35,8 @@ namespace wsie::store {
 /// global sorted order because no term straddles a range.
 ///
 /// Scheduling uses the shared pool's caller-participating morsel loop
-/// (ThreadPool::MorselForWithCaller), so compaction can run from any
-/// thread — including a pool worker — without self-deadlock, and a task
+/// (ThreadPool::MorselFor), so compaction can run from any thread —
+/// including a pool worker — without self-deadlock, and a task
 /// that re-runs (the PR 7 retry discipline) recomputes its partition from
 /// the pristine immutable inputs into its own slot, idempotently.
 ///

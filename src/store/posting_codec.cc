@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "common/varint.h"
+
 namespace wsie::store {
 namespace {
 
@@ -244,31 +246,6 @@ bool GroupVarintSimdActive() {
 #else
   return false;
 #endif
-}
-
-void PutVarint(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-bool GetVarint(std::string_view* in, uint64_t* v) {
-  uint64_t result = 0;
-  for (size_t i = 0; i < 10; ++i) {
-    if (i >= in->size()) return false;
-    uint64_t byte = static_cast<unsigned char>((*in)[i]);
-    // Byte 10 may only contribute the final bit of a 64-bit value.
-    if (i == 9 && (byte & 0xfe) != 0) return false;
-    result |= (byte & 0x7f) << (7 * i);
-    if ((byte & 0x80) == 0) {
-      in->remove_prefix(i + 1);
-      *v = result;
-      return true;
-    }
-  }
-  return false;
 }
 
 Status EncodePostingList(const std::vector<Posting>& postings,

@@ -24,12 +24,6 @@ struct Posting {
   friend auto operator<=>(const Posting&, const Posting&) = default;
 };
 
-/// LEB128 varint. Up to 10 bytes for a full uint64.
-void PutVarint(std::string* out, uint64_t v);
-/// Consumes one varint from `*in`; false on truncation or a value that
-/// does not fit 64 bits (overlong encodings past byte 10).
-bool GetVarint(std::string_view* in, uint64_t* v);
-
 /// Appends the delta/varint encoding of `postings` to `*out`. The list
 /// must be sorted (operator<=> order): doc ids are gap-encoded against the
 /// previous posting, spans as (begin, length). Returns InvalidArgument on

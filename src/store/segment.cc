@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "common/varint.h"
 #include "fault/checkpoint.h"
 #include "fault/wire_format.h"
 

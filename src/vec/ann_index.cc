@@ -287,13 +287,13 @@ Result<VecIndex> VecIndex::Build(std::vector<std::string> names,
   // cannot affect a byte of output.
   Stopwatch embed_watch;
   index.floats_.resize(n * dim);
-  pool->MorselForWithCaller(n, workers, [&](size_t i) {
+  pool->MorselFor(n, workers, [&](size_t i) {
     index.embedder_.Embed(index.names_[i], index.floats_.data() + i * dim);
     return true;
   });
   index.quantizer_ = Quantizer::Train(index.floats_.data(), n, dim);
   index.codes_.resize(n * dim);
-  pool->MorselForWithCaller(n, workers, [&](size_t i) {
+  pool->MorselFor(n, workers, [&](size_t i) {
     index.quantizer_.Encode(index.floats_.data() + i * dim,
                             index.codes_.data() + i * dim);
     return true;
@@ -376,7 +376,7 @@ Result<VecIndex> VecIndex::Build(std::vector<std::string> names,
     for (size_t start = 0; start < n; start += batch_size) {
       const size_t count = std::min(batch_size, n - start);
       batches_counter->Add(1);
-      pool->MorselForWithCaller(count, workers, [&](size_t i) {
+      pool->MorselFor(count, workers, [&](size_t i) {
         const size_t node = start + i;
         const uint32_t node_id = static_cast<uint32_t>(node);
         BuildScratch& scratch = LocalBuildScratch(owner_token, n);

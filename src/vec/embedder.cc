@@ -3,20 +3,17 @@
 #include <cmath>
 
 #include "common/char_class.h"
-#include "ml/crf.h"
+#include "common/hash.h"
 
 namespace wsie::vec {
 namespace {
 
 // Template-prefix seeds, folded at compile time exactly like the CRF
-// extractor's (ml::HashFeatureSeed is constexpr): hashing continues from
-// these with the feature payload bytes, so HashFeature("t=" + token) is
-// reproduced without building the string.
-constexpr uint64_t kTokenSeed =
-    ml::HashFeatureSeed(ml::kFnvOffsetBasis, "t=");
-constexpr uint64_t kGramSeed = ml::HashFeatureSeed(ml::kFnvOffsetBasis, "g=");
-constexpr uint64_t kBigramSeed =
-    ml::HashFeatureSeed(ml::kFnvOffsetBasis, "b=");
+// extractor's: hashing continues from these with the feature payload bytes,
+// so HashFeature("t=" + token) is reproduced without building the string.
+constexpr uint64_t kTokenSeed = Fnv1a("t=", kFnv1aShortBasis);
+constexpr uint64_t kGramSeed = Fnv1a("g=", kFnv1aShortBasis);
+constexpr uint64_t kBigramSeed = Fnv1a("b=", kFnv1aShortBasis);
 
 constexpr char kBoundary = '#';
 constexpr char kJoiner = '_';
@@ -45,7 +42,7 @@ void Embedder::Embed(std::string_view text, float* out) const {
     const size_t begin = i;
     uint64_t token_hash = kTokenSeed;
     while (i < n && IsAsciiAlnum(text[i])) {
-      token_hash = ml::HashFeatureChar(token_hash, AsciiLowerChar(text[i]));
+      token_hash = Fnv1aByte(token_hash, AsciiLowerChar(text[i]));
       ++i;
     }
     const size_t len = i - begin;
@@ -63,7 +60,7 @@ void Embedder::Embed(std::string_view text, float* out) const {
       for (size_t start = 0; start + size <= padded; ++start) {
         uint64_t h = kGramSeed;
         for (size_t k = 0; k < size; ++k) {
-          h = ml::HashFeatureChar(h, padded_char(start + k));
+          h = Fnv1aByte(h, padded_char(start + k));
         }
         bucket(h, 1.0f);
       }
@@ -73,15 +70,15 @@ void Embedder::Embed(std::string_view text, float* out) const {
     // previous token's prefix seed — the same prefix-seed continuation
     // trick the CRF path uses, so no feature string is materialized.
     if (has_prev) {
-      uint64_t h = ml::HashFeatureChar(prev_bigram_seed, kJoiner);
+      uint64_t h = Fnv1aByte(prev_bigram_seed, kJoiner);
       for (size_t p = begin; p < begin + len; ++p) {
-        h = ml::HashFeatureChar(h, AsciiLowerChar(text[p]));
+        h = Fnv1aByte(h, AsciiLowerChar(text[p]));
       }
       bucket(h, 0.5f);
     }
     uint64_t h = kBigramSeed;
     for (size_t p = begin; p < begin + len; ++p) {
-      h = ml::HashFeatureChar(h, AsciiLowerChar(text[p]));
+      h = Fnv1aByte(h, AsciiLowerChar(text[p]));
     }
     prev_bigram_seed = h;
     has_prev = true;

@@ -23,8 +23,8 @@ struct EmbedderConfig {
 ///
 /// Embeds entity names and free sentence text into one shared
 /// `dim`-dimensional space by hashing three feature families through the
-/// same streaming FNV-1a the CRF feature extractor uses (ml::HashFeatureSeed
-/// continuation from precomputed template-prefix seeds — no feature string
+/// same streaming FNV-1a the CRF feature extractor uses (common/hash.h
+/// Fnv1a continued from precomputed template-prefix seeds — no feature string
 /// is ever materialized):
 ///
 ///   t=<token>            whole lowercased alphanumeric token

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "fault/wire_format.h"
@@ -157,7 +158,7 @@ FetchResult SimulatedWeb::Fetch(std::string_view url, int attempt) const {
   // Virtual latency: deterministic jitter keyed on (url, attempt) — never
   // on shared counters, so latency totals are identical across thread
   // schedules and across a kill/resume boundary.
-  uint64_t jitter_key = fault::wire::Mix(fault::wire::Fnv1a(url),
+  uint64_t jitter_key = fault::wire::Mix(Fnv1a(url),
                                          static_cast<uint64_t>(attempt));
   double jitter =
       latency_.jitter_ms * (static_cast<double>(jitter_key % 1000) / 1000.0);

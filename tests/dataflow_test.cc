@@ -578,19 +578,6 @@ TEST(ExecutorTest, DeterministicAcrossDopAndFusion) {
   }
 }
 
-TEST(ExecutorTest, LegacySeedPathMatchesMorselEngine) {
-  Plan plan = MakeChainPlan();
-  std::map<std::string, Dataset> sources{{"in", MakeNumbers(60)}};
-  ExecutorConfig legacy;
-  legacy.dop = 1;
-  legacy.legacy_seed_path = true;
-  ExecutorConfig morsel;
-  morsel.dop = 8;
-  morsel.min_partition_records = 1;
-  morsel.morsel_records = 4;
-  EXPECT_EQ(SinkJson(legacy, plan, sources), SinkJson(morsel, plan, sources));
-}
-
 TEST(ExecutorTest, FusedStageStatsReported) {
   Plan plan = MakeChainPlan();
   std::map<std::string, Dataset> sources{{"in", MakeNumbers(100)}};

@@ -8,12 +8,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "fault/checkpoint.h"
 #include "fault/circuit_breaker.h"
 #include "fault/fault_plan.h"
 #include "fault/retry_policy.h"
 #include "fault/wire_format.h"
+#include "shard/partitioner.h"
 
 namespace wsie::fault {
 namespace {
@@ -90,10 +92,27 @@ TEST(WireFormatTest, MalformedInputFailsSafely) {
 }
 
 TEST(WireFormatTest, MixAndFnvAreStable) {
-  EXPECT_EQ(wire::Fnv1a("host-3.example"), wire::Fnv1a("host-3.example"));
-  EXPECT_NE(wire::Fnv1a("host-3.example"), wire::Fnv1a("host-4.example"));
+  EXPECT_EQ(Fnv1a("host-3.example"), Fnv1a("host-3.example"));
+  EXPECT_NE(Fnv1a("host-3.example"), Fnv1a("host-4.example"));
   EXPECT_EQ(wire::Mix(1, 2), wire::Mix(1, 2));
   EXPECT_NE(wire::Mix(1, 2), wire::Mix(2, 1));
+  // FNV-1a 64 known answers.
+  EXPECT_EQ(Fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a("foobar"), 0x85944171f73967e8ULL);
+  // The checkpoint trailer checksum (MANIFEST and segment files) and the
+  // shard ring placement are persisted or exchanged between processes;
+  // these values must never move.
+  Checkpoint checkpoint;
+  checkpoint.SetSection("alpha", "one");
+  checkpoint.SetSection("beta", std::string("two\n\0bytes", 10));
+  const std::string bytes = checkpoint.Serialize();
+  EXPECT_TRUE(bytes.ends_with("\n15953028018902844064\n")) << bytes;
+  shard::HashRing ring(4);
+  EXPECT_EQ(ring.ShardForKey("doc-0"), 0);
+  EXPECT_EQ(ring.ShardForKey("doc-1"), 3);
+  EXPECT_EQ(ring.ShardForKey("doc-42"), 2);
+  EXPECT_EQ(ring.ShardForKey("gene:BRCA1"), 1);
 }
 
 // ------------------------------------------------------------ fault plan

@@ -12,6 +12,7 @@
 
 #include "common/char_class.h"
 #include "common/flat_map.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "ie/crf_tagger.h"
 #include "ie/dictionary_tagger.h"
@@ -136,13 +137,13 @@ TEST(HashStreamingTest, PrefixSeedContinuationMatchesConcatenation) {
   const std::string_view words[] = {"", "a", "BRCA1", "p53-dependent",
                                     "don't"};
   for (std::string_view p : prefixes) {
-    uint64_t seed = ml::HashFeatureSeed(ml::kFnvOffsetBasis, p);
+    uint64_t seed = Fnv1a(p, kFnv1aShortBasis);
     for (std::string_view w : words) {
-      EXPECT_EQ(ml::HashFeatureSeed(seed, w),
+      EXPECT_EQ(Fnv1a(w, seed),
                 ml::HashFeature(std::string(p) + std::string(w)));
       uint64_t by_char = seed;
-      for (char c : w) by_char = ml::HashFeatureChar(by_char, c);
-      EXPECT_EQ(by_char, ml::HashFeatureSeed(seed, w));
+      for (char c : w) by_char = Fnv1aByte(by_char, c);
+      EXPECT_EQ(by_char, Fnv1a(w, seed));
     }
   }
 }

@@ -129,6 +129,21 @@ TEST(HmmTest, EmptySequence) {
   EXPECT_TRUE(hmm.Decode({}).empty());
 }
 
+TEST(HmmTest, DecodeRequiresFinalize) {
+  TrigramHmm hmm(2);
+  hmm.AddTrainingSequence(Seq({"the", "dog"}, {0, 1}));
+  EXPECT_TRUE(hmm.Decode({"the", "dog"}).empty());
+  hmm.Finalize();
+  EXPECT_EQ(hmm.Decode({"the", "dog"}).size(), 2u);
+  // Training after Finalize() un-finalizes the model: decoding must not mix
+  // the stale transition tables with the new counts.
+  hmm.AddTrainingSequence(Seq({"a", "cat"}, {0, 1}));
+  EXPECT_FALSE(hmm.finalized());
+  EXPECT_TRUE(hmm.Decode({"a", "cat"}).empty());
+  hmm.Finalize();
+  EXPECT_EQ(hmm.Decode({"a", "cat"}), (std::vector<int>{0, 1}));
+}
+
 TEST(HmmTest, DecodeIsDeterministic) {
   TrigramHmm hmm(3);
   Rng rng(1);

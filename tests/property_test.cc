@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/varint.h"
 #include "corpus/lexicon.h"
 #include "corpus/text_generator.h"
 #include "html/html_parser.h"
@@ -376,11 +377,11 @@ TEST(PostingCodecProperty, VarintRoundTripsBoundaryValues) {
                              UINT64_MAX};
   for (uint64_t value : values) {
     std::string buffer;
-    store::PutVarint(&buffer, value);
+    PutVarint(&buffer, value);
     EXPECT_LE(buffer.size(), 10u);
     std::string_view in = buffer;
     uint64_t decoded = 0;
-    ASSERT_TRUE(store::GetVarint(&in, &decoded)) << value;
+    ASSERT_TRUE(GetVarint(&in, &decoded)) << value;
     EXPECT_EQ(decoded, value);
     EXPECT_TRUE(in.empty());
   }

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/varint.h"
 #include "core/analysis_context.h"
 #include "core/pipeline.h"
 #include "corpus/text_generator.h"
@@ -177,8 +178,25 @@ TEST(WireTest, MalformedTagRejected) {
   // A dataset claiming more records than bytes can hold is rejected
   // without allocation.
   std::string huge;
-  AppendVarint(1ull << 40, &huge);
+  PutVarint(&huge, 1ull << 40);
   EXPECT_FALSE(DecodeDataset(huge).ok());
+}
+
+TEST(WireTest, VarintOverflowRejected) {
+  // A 10-byte varint whose last byte carries bits above 2^63 does not fit
+  // 64 bits; dropping those bits silently would decode a different value.
+  const std::string overflow("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02",
+                             10);
+  // As the record count (it would read as 0 with the high bit dropped).
+  const std::string zero_count(
+      "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x02", 10);
+  EXPECT_FALSE(DecodeDataset(zero_count).ok());
+  // As one record's int payload (it would read as a valid zigzag int).
+  std::string int_record = "\x01\x03" + overflow;
+  EXPECT_FALSE(DecodeDataset(int_record).ok());
+  // The same payloads with the top bit alone still decode.
+  std::string max_int = "\x01\x03" + overflow.substr(0, 9) + "\x01";
+  EXPECT_TRUE(DecodeDataset(max_int).ok());
 }
 
 // ------------------------------------------------------------ Exchange

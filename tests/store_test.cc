@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/varint.h"
 
 #include "dataflow/value.h"
 #include "fault/checkpoint.h"

@@ -2,11 +2,15 @@
 // scripts/tsan_check.sh (ctest -L tsan). They hammer the invariants the
 // morsel executor and the crawler rely on: concurrent Submit()+Wait() from
 // several client threads, and MorselFor() calls that must track their own
-// completion instead of waiting on unrelated work.
+// completion instead of waiting on unrelated work, and must finish on the
+// calling thread when every worker is busy.
 
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -94,17 +98,6 @@ TEST(ThreadPoolStressTest, MorselForSkewedWorkCompletes) {
   EXPECT_EQ(done.load(), 64u);
 }
 
-TEST(ThreadPoolStressTest, ParallelForChurn) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> hits{0};
-    pool.ParallelFor(97, [&](size_t) {
-      hits.fetch_add(1, std::memory_order_relaxed);
-    });
-    ASSERT_EQ(hits.load(), 97);
-  }
-}
-
 TEST(ThreadPoolStressTest, MorselForMoreWorkersThanItems) {
   ThreadPool pool(8);
   std::atomic<size_t> done{0};
@@ -114,6 +107,53 @@ TEST(ThreadPoolStressTest, MorselForMoreWorkersThanItems) {
   }));
   EXPECT_EQ(done.load(), 3u);
   EXPECT_TRUE(pool.MorselFor(0, 4, [&](size_t) { return true; }));
+}
+
+TEST(ThreadPoolStressTest, NestedMorselForCompletesOnSaturatedPool) {
+  // The caller and both workers of a 2-thread pool each hold one item of an
+  // outer loop. One worker-side item runs an inner loop on the same pool
+  // while the other two block until it finishes, so no worker is free to
+  // start the inner loop's helper task: the inner loop must complete on its
+  // calling thread alone.
+  ThreadPool pool(2);
+  const std::thread::id main_thread = std::this_thread::get_id();
+  constexpr auto kTimeout = std::chrono::seconds(5);
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  int timed_out = 0;
+  bool inner_claimed = false;
+  bool inner_done = false;
+  std::atomic<size_t> inner_items{0};
+  bool outer_complete = pool.MorselFor(3, 3, [&](size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    if (!cv.wait_for(lock, kTimeout, [&] { return arrived == 3; })) {
+      ++timed_out;
+      return true;
+    }
+    if (std::this_thread::get_id() != main_thread && !inner_claimed) {
+      inner_claimed = true;
+      lock.unlock();
+      bool inner_complete = pool.MorselFor(64, 2, [&](size_t) {
+        inner_items.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      });
+      lock.lock();
+      inner_done = inner_complete;
+      cv.notify_all();
+      return true;
+    }
+    if (!cv.wait_for(lock, kTimeout, [&] { return inner_done; })) {
+      ++timed_out;
+    }
+    return true;
+  });
+  EXPECT_TRUE(outer_complete);
+  EXPECT_EQ(timed_out, 0);
+  EXPECT_TRUE(inner_done);
+  EXPECT_EQ(inner_items.load(), 64u);
 }
 
 }  // namespace
