@@ -1,7 +1,7 @@
 // Ablation (DESIGN.md #4): the SOFA-style logical optimizer. Builds a
 // deliberately mis-ordered UDF chain (expensive annotators before cheap
 // selective filters), then compares estimated and measured runtimes with
-// the optimizer off and on.
+// the optimizer off and on (best of five interleaved runs after a warm-up).
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
@@ -50,26 +50,33 @@ int main() {
   };
 
   dataflow::Executor executor(dataflow::ExecutorConfig{1, 0, 8});
-  auto run = [&](dataflow::Plan& plan) {
-    Stopwatch sw;
-    auto result = executor.Run(
-        plan, {{"docs", core::DocumentsToRecords(docs)}});
-    double seconds = sw.ElapsedSeconds();
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      std::exit(1);
-    }
-    return std::pair<double, size_t>(seconds,
-                                     result->sink_outputs.at("out").size());
+  // One timed run of `plan`; its sink cardinality lands in `*out_records`.
+  auto timed_run = [&](dataflow::Plan* plan, size_t* out_records) {
+    return [&executor, &docs, plan, out_records] {
+      Stopwatch sw;
+      auto result = executor.Run(
+          *plan, {{"docs", core::DocumentsToRecords(docs)}});
+      const double seconds = sw.ElapsedSeconds();
+      if (!result.ok()) {
+        std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+        std::exit(1);
+      }
+      *out_records = result->sink_outputs.at("out").size();
+      return seconds;
+    };
   };
 
   dataflow::Plan naive = build_plan();
-  auto [naive_seconds, naive_out] = run(naive);
-
   dataflow::Plan optimized = build_plan();
   dataflow::Optimizer optimizer;
   auto report = optimizer.Optimize(&optimized);
-  auto [optimized_seconds, optimized_out] = run(optimized);
+  // Best of five interleaved runs per plan (min estimator).
+  size_t naive_out = 0, optimized_out = 0;
+  const std::vector<bench::ArmSamples> runs = bench::RunRepetitions(
+      5, {{"naive plan", timed_run(&naive, &naive_out)},
+          {"optimized plan", timed_run(&optimized, &optimized_out)}});
+  const double naive_seconds = runs[0].stats.min;
+  const double optimized_seconds = runs[1].stats.min;
 
   std::printf("reorderings applied: %zu\n", report.steps.size());
   for (const auto& step : report.steps) {
@@ -78,6 +85,7 @@ int main() {
   }
   std::printf("estimated chain cost: %.0f -> %.0f\n",
               report.estimated_cost_before, report.estimated_cost_after);
+  bench::PrintArms(runs, "run seconds");
   std::printf("measured runtime:     %.3fs -> %.3fs (%.1fx)\n", naive_seconds,
               optimized_seconds,
               optimized_seconds > 0 ? naive_seconds / optimized_seconds : 0.0);

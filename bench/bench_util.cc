@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/string_util.h"
 #include "obs/profiler.h"
 #include "store/store_sink.h"
 
@@ -164,6 +165,39 @@ core::CorpusAnalysis AnalyzeCorpusIntoStore(const BenchEnv& env,
   return core::AnalyzeRecords(kind, result->sink_outputs.at("analyzed"));
 }
 
+std::vector<ArmSamples> RunRepetitions(int reps, const std::vector<Arm>& arms) {
+  for (const Arm& arm : arms) arm.run();  // warm-up, discarded
+  std::vector<ArmSamples> out(arms.size());
+  for (size_t a = 0; a < arms.size(); ++a) out[a].name = arms[a].name;
+  for (int rep = 0; rep < reps; ++rep) {
+    for (size_t step = 0; step < arms.size(); ++step) {
+      const size_t a = rep % 2 == 0 ? step : arms.size() - 1 - step;
+      out[a].samples.push_back(arms[a].run());
+    }
+  }
+  for (ArmSamples& arm : out) arm.stats = ml::Describe(arm.samples);
+  return out;
+}
+
+double MedianPairedRatio(const ArmSamples& numerator,
+                         const ArmSamples& denominator) {
+  std::vector<double> ratios;
+  for (size_t i = 0; i < numerator.samples.size(); ++i) {
+    ratios.push_back(numerator.samples[i] / denominator.samples[i]);
+  }
+  return ml::Describe(std::move(ratios)).median;
+}
+
+void PrintArms(const std::vector<ArmSamples>& arms, const char* unit) {
+  std::printf("  %-22s %12s %12s %12s  (%s, %zu reps after warm-up)\n", "arm",
+              "min", "median", "IQR", unit,
+              arms.empty() ? size_t{0} : arms[0].samples.size());
+  for (const ArmSamples& arm : arms) {
+    std::printf("  %-22s %12.4f %12.4f %12.4f\n", arm.name.c_str(),
+                arm.stats.min, arm.stats.median, arm.iqr());
+  }
+}
+
 JsonSummary::JsonSummary(std::string name, const BenchFlags& flags) {
   if (flags.json_path == "none") {
     path_.clear();
@@ -203,34 +237,15 @@ void JsonSummary::Set(const std::string& key, bool value) {
 }
 
 void JsonSummary::Set(const std::string& key, const std::string& value) {
-  std::string encoded = "\"";
-  for (const char c : value) {
-    switch (c) {
-      case '"':
-        encoded += "\\\"";
-        break;
-      case '\\':
-        encoded += "\\\\";
-        break;
-      case '\n':
-        encoded += "\\n";
-        break;
-      case '\t':
-        encoded += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          encoded += buf;
-        } else {
-          encoded.push_back(c);
-        }
-    }
-  }
-  encoded.push_back('"');
+  std::string encoded;
+  AppendJsonString(&encoded, value);
   SetRaw(key, std::move(encoded));
+}
+
+void JsonSummary::Set(const std::string& key, const ArmSamples& arm) {
+  Set(key + "_min", arm.stats.min);
+  Set(key + "_median", arm.stats.median);
+  Set(key + "_iqr", arm.iqr());
 }
 
 bool JsonSummary::Write() const {
@@ -274,14 +289,19 @@ obs::MetricsSnapshot SnapshotRegistry() {
   return obs::MetricsRegistry::Global().Snapshot();
 }
 
-double RunWallSecondsSince(const obs::MetricsSnapshot& before) {
-  const char* kMetric = "wsie.dataflow.run.wall_ns";
-  const obs::HistogramSnapshot* now =
-      SnapshotRegistry().FindHistogram(kMetric);
-  if (now == nullptr) return 0.0;
-  const obs::HistogramSnapshot* prior = before.FindHistogram(kMetric);
-  double prior_sum = prior == nullptr ? 0.0 : prior->sum;
-  return (now->sum - prior_sum) / 1e9;
+double WallSecondsSince(const obs::MetricsSnapshot& before,
+                        const std::string& name) {
+  const obs::HistogramSnapshot* now = SnapshotRegistry().FindHistogram(name);
+  const obs::HistogramSnapshot* prior = before.FindHistogram(name);
+  const double grown_ns =
+      (now == nullptr ? 0.0 : now->sum) - (prior == nullptr ? 0.0 : prior->sum);
+  if (grown_ns <= 0) {
+    // A zero reading would silently pass every "faster than" gate.
+    std::fprintf(stderr, "%s recorded nothing (metrics disabled?)\n",
+                 name.c_str());
+    std::exit(1);
+  }
+  return grown_ns / 1e9;
 }
 
 void PrintRegistryOperatorRuntimes(const obs::MetricsSnapshot& snapshot,

@@ -2,6 +2,7 @@
 #define WSIE_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -11,6 +12,7 @@
 #include "core/analytics.h"
 #include "core/pipeline.h"
 #include "corpus/text_generator.h"
+#include "ml/stats.h"
 #include "obs/metrics.h"
 #include "store/annotation_store.h"
 
@@ -77,6 +79,41 @@ core::CorpusAnalysis AnalyzeCorpusIntoStore(const BenchEnv& env,
                                             store::AnnotationStore* annotations,
                                             size_t dop = 2);
 
+// --- Repeated measurement. Every timed bench arm goes through
+// RunRepetitions: one discarded warm-up run of each arm, then `reps`
+// repetitions, each running every arm once — in list order on even
+// repetitions, reversed on odd ones — so drift and order bias fall on all
+// arms alike instead of on whichever block ran during a busy spell.
+
+/// One measured configuration. `run` performs one execution and returns
+/// its sample: wall seconds, CPU seconds, or a registry reading.
+struct Arm {
+  std::string name;
+  std::function<double()> run;
+};
+
+/// One arm's samples in repetition order — sample i of every arm comes
+/// from repetition i, so paired ratios line up — and their summary.
+struct ArmSamples {
+  std::string name;
+  std::vector<double> samples;
+  ml::Descriptive stats;
+
+  double iqr() const { return stats.p75 - stats.p25; }
+};
+
+/// Warm-up, then `reps` interleaved repetitions of `arms` (see above).
+/// The warm-up runs the arms in list order.
+std::vector<ArmSamples> RunRepetitions(int reps, const std::vector<Arm>& arms);
+
+/// Median over repetitions of numerator.samples[i] / denominator.samples[i].
+double MedianPairedRatio(const ArmSamples& numerator,
+                         const ArmSamples& denominator);
+
+/// Prints one "name  min  median  IQR" row per arm; `unit` labels the
+/// samples.
+void PrintArms(const std::vector<ArmSamples>& arms, const char* unit);
+
 /// One flat JSON summary per bench run, written to BENCH_<name>.json in
 /// the working directory (the path every fig bench shares with CI scripts)
 /// unless --json=PATH redirects it or --json=none suppresses it. Keys keep
@@ -92,6 +129,8 @@ class JsonSummary {
   void Set(const std::string& key, int64_t value);
   void Set(const std::string& key, bool value);
   void Set(const std::string& key, const std::string& value);
+  /// Writes `<key>_min`, `<key>_median` and `<key>_iqr` of the arm's samples.
+  void Set(const std::string& key, const ArmSamples& arm);
 
   /// Writes the file (no-op under --json=none) and reports the path on
   /// stdout. Returns false (after printing to stderr) when the write fails.
@@ -111,17 +150,19 @@ void PrintHeader(const std::string& title, const std::string& paper_ref);
 void PrintCompare(const std::string& what, const std::string& paper,
                   const std::string& measured);
 
-// --- Registry-backed timing. Benches read executor timings from the
-// observability registry where a metric exists, instead of wrapping every
-// run in a local Stopwatch.
+// --- Registry-backed timing. Benches read timings from the observability
+// registry where a metric exists, instead of wrapping every run in a local
+// Stopwatch.
 
 /// Snapshot of the process-wide registry (shorthand).
 obs::MetricsSnapshot SnapshotRegistry();
 
-/// Wall seconds spent in dataflow Run() calls since `before`, read from the
-/// wsie.dataflow.run.wall_ns histogram sum. Returns 0 when metrics are
-/// compiled out or disabled — callers fall back to a local Stopwatch then.
-double RunWallSecondsSince(const obs::MetricsSnapshot& before);
+/// Seconds added to the nanosecond histogram `name` (e.g.
+/// wsie.dataflow.run.wall_ns, wsie.vec.build.wall_ns) since `before`: the
+/// growth of its sum. Exits the bench (status 1) when the histogram did not
+/// grow, e.g. because metrics are disabled.
+double WallSecondsSince(const obs::MetricsSnapshot& before,
+                        const std::string& name);
 
 /// Prints a Fig. 3-style per-operator runtime table straight from the
 /// registry's wsie.dataflow.operator.* counters (share of total process

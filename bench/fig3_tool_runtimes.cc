@@ -170,15 +170,6 @@ int main(int argc, char** argv) {
   for (const auto& sample : samples) total_tokens += sample.tokens.size();
   const int kReps = 3;
 
-  // Warm both paths (and the hot path's thread-local scratch) once.
-  for (const auto& sample : samples) {
-    pos.TagTokensLegacy(sample.tokens);
-    ml::HashedFeatureMatrix warm;
-    ie::ExtractNerFeaturesInto(sample.tokens, &warm);
-    pos.TagTokens(sample.tokens);
-    ml.TagSentence(1, 0, sample.text, sample.tokens);
-  }
-
   // One pass of the seed-path stage. Faithful to the replaced code: the seed
   // pipeline's ForEachSentence materialized OWNED per-token substrings fresh
   // for every consuming operator (once for the POS op, again for the NER ML
@@ -233,26 +224,28 @@ int main(int argc, char** argv) {
     }
   };
 
-  // Interleave the two paths and keep each path's best-of-kReps pass time:
-  // the min estimator discards scheduler/frequency noise that a single
-  // back-to-back measurement folds into whichever path runs second.
-  double seed_seconds = 1e30, hot_seconds = 1e30;
-  uint64_t hot_allocs = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    Stopwatch seed_sw;
-    run_seed_pass();
-    seed_seconds = std::min(seed_seconds, seed_sw.ElapsedSeconds());
-
-    uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
-    Stopwatch hot_sw;
-    run_hot_pass();
-    double hot_elapsed = hot_sw.ElapsedSeconds();
-    if (hot_elapsed < hot_seconds) {
-      hot_seconds = hot_elapsed;
-      hot_allocs =
-          g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
-    }
-  }
+  // Best-of-kReps pass time per path (min estimator): the minimum discards
+  // scheduler/frequency noise that a single back-to-back measurement folds
+  // into whichever path runs second. The warm-up pass also fills the hot
+  // path's thread-local scratch.
+  auto timed = [](const std::function<void()>& pass) {
+    return [pass] {
+      Stopwatch sw;
+      pass();
+      return sw.ElapsedSeconds();
+    };
+  };
+  const std::vector<bench::ArmSamples> passes = bench::RunRepetitions(
+      kReps, {{"seed path", timed(run_seed_pass)},
+              {"view path", timed(run_hot_pass)}});
+  const double seed_seconds = passes[0].stats.min;
+  const double hot_seconds = passes[1].stats.min;
+  // Allocations per warmed pass are a deterministic count: one more pass
+  // measures them without perturbing the timed ones.
+  const uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  run_hot_pass();
+  const uint64_t hot_allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
 
   double pass_tokens = static_cast<double>(total_tokens);
   double seed_tps = pass_tokens / seed_seconds;
@@ -262,6 +255,7 @@ int main(int argc, char** argv) {
   std::printf("\nPOS+NER(ML) stage, %zu sentences (%.0f tokens), "
               "best of %d interleaved passes:\n",
               samples.size(), pass_tokens, kReps);
+  bench::PrintArms(passes, "pass seconds");
   std::printf("  seed path: %10.0f tokens/sec\n", seed_tps);
   std::printf("  view path: %10.0f tokens/sec  (%.2fx, gate >= 1.50x)\n",
               hot_tps, speedup);
@@ -286,6 +280,8 @@ int main(int argc, char** argv) {
   summary.Set("ml_dict_runtime_ratio", ratio);
   summary.Set("pos_monotone", pos_monotone);
   summary.Set("long_sentence_overflow_handled", overflowed);
+  summary.Set("seed_pass_seconds", passes[0]);
+  summary.Set("hot_pass_seconds", passes[1]);
   summary.Set("seed_tokens_per_sec", seed_tps);
   summary.Set("hot_tokens_per_sec", hot_tps);
   summary.Set("hotpath_speedup", speedup);

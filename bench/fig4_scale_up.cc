@@ -13,7 +13,6 @@
 #include <cmath>
 
 #include "bench_util.h"
-#include "common/stopwatch.h"
 
 int main(int argc, char** argv) {
   using namespace wsie;
@@ -65,35 +64,28 @@ int main(int argc, char** argv) {
   core::FlowOptions options;
   options.linguistic_analysis = false;
   dataflow::Plan plan = core::BuildAnalysisFlow(env.context, options);
+  // Wall time comes from the executor's own wsie.dataflow.run.wall_ns
+  // histogram.
   auto timed_run = [&](const dataflow::ExecutorConfig& config) {
-    // Timing comes from the executor's own wsie.dataflow.run.wall_ns
-    // histogram; the stopwatch is only the fallback for metrics-off
-    // builds (WSIE_OBS=0 or runtime-disabled).
-    obs::MetricsSnapshot before = bench::SnapshotRegistry();
-    Stopwatch timer;
-    auto result = core::RunFlow(plan, docs, config);
-    if (!result.ok()) std::exit(1);
-    double seconds = bench::RunWallSecondsSince(before);
-    if (seconds <= 0) seconds = timer.ElapsedSeconds();
-    return seconds;
+    return [&plan, &docs, config] {
+      const obs::MetricsSnapshot before = bench::SnapshotRegistry();
+      auto result = core::RunFlow(plan, docs, config);
+      if (!result.ok()) std::exit(1);
+      return bench::WallSecondsSince(before, "wsie.dataflow.run.wall_ns");
+    };
   };
   dataflow::ExecutorConfig unfused_config;
   unfused_config.dop = flags.dop;
   unfused_config.fuse_pipelines = false;
   dataflow::ExecutorConfig fused_config;
   fused_config.dop = flags.dop;
-  // Interleave the engines per repetition (best-of) so machine drift hits
-  // both equally instead of whichever block ran during a busy spell.
-  const dataflow::ExecutorConfig* configs[2] = {&unfused_config,
-                                                &fused_config};
-  double best[2] = {1e30, 1e30};
-  for (int rep = 0; rep < 5; ++rep) {
-    for (int engine = 0; engine < 2; ++engine) {
-      best[engine] = std::min(best[engine], timed_run(*configs[engine]));
-    }
-  }
-  double unfused_s = best[0];
-  double fused_s = best[1];
+  // Best of five interleaved runs per engine (min estimator).
+  const std::vector<bench::ArmSamples> engines = bench::RunRepetitions(
+      5, {{"unfused", timed_run(unfused_config)},
+          {"fused", timed_run(fused_config)}});
+  bench::PrintArms(engines, "run seconds");
+  const double unfused_s = engines[0].stats.min;
+  const double fused_s = engines[1].stats.min;
   double fused_ms_per_doc = 1000 * fused_s / 60;
   std::printf("  morsel engine, unfused: %.3fs (%.1f ms/doc)\n", unfused_s,
               1000 * unfused_s / 60);
@@ -186,8 +178,8 @@ int main(int argc, char** argv) {
   bench::JsonSummary summary("fig4", flags);
   summary.Set("dop", static_cast<uint64_t>(flags.dop));
   summary.Set("linear_work", linear_work);
-  summary.Set("unfused_seconds", unfused_s);
-  summary.Set("fused_seconds", fused_s);
+  summary.Set("unfused_seconds", engines[0]);
+  summary.Set("fused_seconds", engines[1]);
   summary.Set("fused_ms_per_doc", fused_ms_per_doc);
   summary.Set("fused_ms_per_doc_bound", kFusedMsPerDocBound);
   summary.Set("unfused_bytes_materialized", unfused_bytes);

@@ -13,13 +13,13 @@
 // memory footprint against the float matrix.
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stopwatch.h"
 #include "serve/admission_queue.h"
 #include "serve/query_engine.h"
 #include "store/annotation_store.h"
@@ -54,17 +54,15 @@ int main(int argc, char** argv) {
   }
   if (!store->Compact().ok()) return 1;
 
-  auto build_start = std::chrono::steady_clock::now();
+  const obs::MetricsSnapshot before_build = bench::SnapshotRegistry();
   Status built = store->BuildVectorIndex();
   if (!built.ok()) {
     std::fprintf(stderr, "vector index build failed: %s\n",
                  built.ToString().c_str());
     return 1;
   }
-  double build_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    build_start)
-          .count();
+  const double build_seconds =
+      bench::WallSecondsSince(before_build, "wsie.vec.build.wall_ns");
 
   auto snapshot = store->snapshot();
   if (snapshot.vectors == nullptr) {
@@ -135,7 +133,7 @@ int main(int argc, char** argv) {
   const size_t requests_per_thread = 2000;
   std::atomic<uint64_t> failures{0};
   std::atomic<uint64_t> unavailable{0};
-  auto serve_start = std::chrono::steady_clock::now();
+  const Stopwatch serve_window;
   std::vector<std::thread> clients;
   for (size_t t = 0; t < client_threads; ++t) {
     clients.emplace_back([&, t] {
@@ -155,10 +153,7 @@ int main(int argc, char** argv) {
     });
   }
   for (auto& client : clients) client.join();
-  double serve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    serve_start)
-          .count();
+  const double serve_seconds = serve_window.ElapsedSeconds();
   queue->Stop();
 
   const uint64_t total_requests = client_threads * requests_per_thread;

@@ -12,8 +12,11 @@
 //     serial one plus morsel bookkeeping, so the gate would measure the
 //     machine, not the code).
 //
-// Emits BENCH_micro_ingest.json with per-thread-count wall times, MB/s,
-// and the gate verdicts. --json=PATH / --json=none as everywhere else.
+// Timing: bench::RunRepetitions — one discarded warm-up per arm, then
+// interleaved repetitions (7 for the merge, 3 for the build); speedups are
+// median paired ratios serial/parallel. Emits BENCH_micro_ingest.json with
+// min/median/IQR wall seconds per arm, the speedups and the gate verdicts.
+// --json=PATH / --json=none as everywhere else.
 
 #include <cstdio>
 #include <string>
@@ -92,37 +95,64 @@ int main(int argc, char** argv) {
   std::printf("compaction inputs: %zu segments, %.1f MB encoded\n",
               segments.size(), Mb(input_bytes));
 
-  Stopwatch serial_watch;
-  store::SegmentBuilder serial_builder;
-  for (const auto& segment : segments) serial_builder.MergeSegment(*segment);
-  auto serial_or = serial_builder.Finish(100);
-  if (!serial_or.ok()) return 1;
-  const double serial_merge_s = serial_watch.ElapsedNs() * 1e-9;
-  const std::string serial_bytes = serial_or->Encode();
-  std::printf("  serial merge: %7.3f s  %7.1f MB/s\n", serial_merge_s,
-              Mb(input_bytes) / serial_merge_s);
-  summary.Set("merge_serial_seconds", serial_merge_s);
-  summary.Set("merge_input_mb", Mb(input_bytes));
-
+  // Each arm times one build, then checks its encoded bytes against the
+  // serial reference. The warm-up runs the arms in list order, so the
+  // serial arm (first) sets the reference before any parallel arm is
+  // checked. All arms share one 8-thread pool; `threads` caps how many of
+  // its workers (caller included) a run uses.
+  ThreadPool pool(8);
+  const size_t kThreadCounts[] = {1, 2, 4, 8};
   bool bytes_identical = true;
-  double merge_8_s = serial_merge_s;
-  for (const size_t threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    Stopwatch watch;
-    auto merged_or =
-        store::MergeSegmentsParallel(segments, 100, &pool, threads);
-    const double wall_s = watch.ElapsedNs() * 1e-9;
-    if (!merged_or.ok()) return 1;
-    const bool same = merged_or->Encode() == serial_bytes;
-    bytes_identical = bytes_identical && same;
-    if (threads == 8) merge_8_s = wall_s;
-    std::printf("  parallel x%zu: %7.3f s  %7.1f MB/s  speedup %4.2fx  %s\n",
-                threads, wall_s, Mb(input_bytes) / wall_s,
-                serial_merge_s / wall_s, same ? "bytes==serial" : "MISMATCH");
-    summary.Set("merge_parallel_" + std::to_string(threads) + "_seconds",
-                wall_s);
+  auto arm = [&](std::string name, std::string* reference, auto build) {
+    return bench::Arm{std::move(name), [&bytes_identical, reference, build] {
+      Stopwatch watch;
+      auto built_or = build();
+      const double wall_s = watch.ElapsedSeconds();
+      if (!built_or.ok()) std::exit(1);
+      std::string bytes = built_or->Encode();
+      if (reference->empty()) {
+        *reference = std::move(bytes);
+      } else {
+        bytes_identical = bytes_identical && bytes == *reference;
+      }
+      return wall_s;
+    }};
+  };
+
+  // Prints a stage's arms with their median paired speedup over its serial
+  // arm (first) and, for `mb` > 0, median MB/s; writes them to the
+  // summary; returns the x8 speedup.
+  auto report = [&](const std::vector<bench::ArmSamples>& arms, double mb) {
+    bench::PrintArms(arms, "wall seconds");
+    for (const bench::ArmSamples& a : arms) {
+      summary.Set(a.name + "_seconds", a);
+      std::printf("  %-22s speedup %4.2fx (median paired)", a.name.c_str(),
+                  bench::MedianPairedRatio(arms[0], a));
+      if (mb > 0) std::printf("  %7.1f MB/s", mb / a.stats.median);
+      std::printf("\n");
+    }
+    return bench::MedianPairedRatio(arms[0], arms.back());
+  };
+
+  std::string serial_bytes;
+  std::vector<bench::Arm> merge_arms = {
+      arm("merge_serial", &serial_bytes, [&] {
+        store::SegmentBuilder builder;
+        for (const auto& segment : segments) builder.MergeSegment(*segment);
+        return builder.Finish(100);
+      })};
+  for (const size_t threads : kThreadCounts) {
+    merge_arms.push_back(
+        arm("merge_parallel_" + std::to_string(threads), &serial_bytes,
+            [&, threads] {
+              return store::MergeSegmentsParallel(segments, 100, &pool,
+                                                  threads);
+            }));
   }
-  const double merge_speedup = serial_merge_s / merge_8_s;
+  constexpr int kMergeReps = 7;
+  summary.Set("merge_input_mb", Mb(input_bytes));
+  const double merge_speedup =
+      report(bench::RunRepetitions(kMergeReps, merge_arms), Mb(input_bytes));
   summary.Set("merge_speedup_8", merge_speedup);
 
   // ------------------------------------------------------- Vamana build
@@ -139,38 +169,21 @@ int main(int argc, char** argv) {
               names.size(), config.embedder.dim, config.max_degree,
               config.build_batch);
 
-  ThreadPool one(1);
-  vec::VecBuildOptions serial_options;
-  serial_options.pool = &one;
-  serial_options.workers = 1;
-  Stopwatch ann_serial_watch;
-  auto serial_index_or = vec::VecIndex::Build(names, config, 1, serial_options);
-  if (!serial_index_or.ok()) return 1;
-  const double ann_serial_s = ann_serial_watch.ElapsedNs() * 1e-9;
-  const std::string serial_index_bytes = serial_index_or->Encode();
-  std::printf("  serial build (1 worker): %7.3f s\n", ann_serial_s);
-  summary.Set("ann_serial_seconds", ann_serial_s);
-
-  double ann_8_s = ann_serial_s;
-  for (const size_t threads : {2, 4, 8}) {
-    ThreadPool pool(threads);
-    vec::VecBuildOptions options;
-    options.pool = &pool;
-    options.workers = threads;
-    Stopwatch watch;
-    auto index_or = vec::VecIndex::Build(names, config, 1, options);
-    const double wall_s = watch.ElapsedNs() * 1e-9;
-    if (!index_or.ok()) return 1;
-    const bool same = index_or->Encode() == serial_index_bytes;
-    bytes_identical = bytes_identical && same;
-    if (threads == 8) ann_8_s = wall_s;
-    std::printf("  parallel x%zu: %7.3f s  speedup %4.2fx  %s\n", threads,
-                wall_s, ann_serial_s / wall_s,
-                same ? "bytes==serial" : "MISMATCH");
-    summary.Set("ann_parallel_" + std::to_string(threads) + "_seconds",
-                wall_s);
+  // The one-worker build is the serial arm; 2/4/8 workers are parallel.
+  std::string serial_index_bytes;
+  std::vector<bench::Arm> ann_arms;
+  for (const size_t threads : kThreadCounts) {
+    ann_arms.push_back(arm(
+        threads == 1 ? std::string("ann_serial")
+                     : "ann_parallel_" + std::to_string(threads),
+        &serial_index_bytes, [&, threads] {
+          return vec::VecIndex::Build(names, config, 1,
+                                      vec::VecBuildOptions{&pool, threads});
+        }));
   }
-  const double ann_speedup = ann_serial_s / ann_8_s;
+  constexpr int kAnnReps = 3;
+  const double ann_speedup =
+      report(bench::RunRepetitions(kAnnReps, ann_arms), 0.0);
   summary.Set("ann_speedup_8", ann_speedup);
   summary.Set("bytes_identical", bytes_identical);
 

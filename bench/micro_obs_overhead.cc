@@ -10,22 +10,21 @@
 // Measurement discipline: the budget (2%) sits below this box's run-to-run
 // noise, so three layers of control are applied. (1) PROCESS CPU time, not
 // wall — the instrumentation cost is pure compute (relaxed atomic adds)
-// and CPU time is immune to scheduler gaps. (2) The three modes run
-// back-to-back inside each repetition and each repetition yields PAIRED
-// ratios (on/off, tracing/off measured seconds apart), so slow drift
-// (frequency scaling, heap growth) cancels instead of accumulating across
-// the run. The mode order alternates per repetition to cancel order bias.
-// (3) The gate takes the MEDIAN ratio across repetitions, robust to the
-// odd disturbed run. Exits 1 when a gate fails.
+// and CPU time is immune to scheduler gaps. (2) bench::RunRepetitions runs
+// the three modes back-to-back inside each repetition, alternating their
+// order, and each repetition yields PAIRED ratios (on/off, tracing/off
+// measured seconds apart), so slow drift (frequency scaling, heap growth)
+// cancels instead of accumulating across the run. (3) The gate takes the
+// MEDIAN ratio across repetitions, robust to the odd disturbed run. Writes
+// BENCH_micro_obs_overhead.json (per-mode min/median/IQR and the verdicts);
+// exits 1 when a gate fails.
 
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/stopwatch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -44,8 +43,9 @@ double CpuSeconds() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace wsie;
+  const bench::BenchFlags flags = bench::ParseBenchFlags(argc, argv);
   bench::PrintHeader("Observability overhead: metrics off / on / tracing on",
                      "the < 2% overhead budget of DESIGN.md, Observability");
   bench::BenchScale scale;
@@ -61,73 +61,64 @@ int main() {
   options.linguistic_analysis = false;  // fig4's entity flow
   dataflow::Plan plan = core::BuildAnalysisFlow(env.context, options);
   dataflow::ExecutorConfig config;
-  config.dop = 8;
+  config.dop = flags.dop;
 
-  struct RunCost {
-    double cpu_s;
-    double wall_s;
-  };
-  auto run_once = [&]() {
-    double cpu_before = CpuSeconds();
-    Stopwatch timer;
-    auto result = core::RunFlow(plan, docs, config);
-    if (!result.ok()) {
-      std::fprintf(stderr, "flow failed: %s\n",
-                   result.status().ToString().c_str());
-      std::exit(1);
-    }
-    return RunCost{CpuSeconds() - cpu_before, timer.ElapsedSeconds()};
-  };
-
-  // Warm up trained-model lazy state and the executor's Open() cache.
-  run_once();
-  run_once();
-
-  constexpr int kReps = 9;
-  const char* kModeNames[3] = {"metrics off", "metrics on ",
-                               "tracing on "};
-  double best_cpu[3] = {1e30, 1e30, 1e30};
-  double best_wall[3] = {1e30, 1e30, 1e30};
-  std::vector<double> metrics_ratios, tracing_ratios;
+  // One run in `mode` (0 metrics off, 1 metrics on, 2 tracing on); the
+  // sample is its process CPU seconds.
   obs::TraceRecorder& tracer = obs::TraceRecorder::Global();
-  for (int rep = 0; rep < kReps; ++rep) {
-    double cpu[3];
-    for (int step = 0; step < 3; ++step) {
-      int mode = rep % 2 == 0 ? step : 2 - step;  // alternate order
+  auto run_in_mode = [&](int mode) {
+    return [&, mode] {
       obs::SetMetricsEnabled(mode >= 1);
       tracer.SetEnabled(mode == 2);
-      RunCost cost = run_once();
+      const double cpu_before = CpuSeconds();
+      auto result = core::RunFlow(plan, docs, config);
+      const double cpu_s = CpuSeconds() - cpu_before;
+      if (!result.ok()) {
+        std::fprintf(stderr, "flow failed: %s\n",
+                     result.status().ToString().c_str());
+        std::exit(1);
+      }
       tracer.SetEnabled(false);
-      if (mode == 2) tracer.Clear();
-      cpu[mode] = cost.cpu_s;
-      best_cpu[mode] = std::min(best_cpu[mode], cost.cpu_s);
-      best_wall[mode] = std::min(best_wall[mode], cost.wall_s);
-    }
-    metrics_ratios.push_back(cpu[1] / cpu[0]);
-    tracing_ratios.push_back(cpu[2] / cpu[0]);
-  }
+      tracer.Clear();
+      return cpu_s;
+    };
+  };
+
+  // The warm-up also fills trained-model lazy state and the executor's
+  // Open() cache.
+  constexpr int kReps = 9;
+  const std::vector<bench::ArmSamples> modes = bench::RunRepetitions(
+      kReps, {{"metrics off", run_in_mode(0)},
+              {"metrics on", run_in_mode(1)},
+              {"tracing on", run_in_mode(2)}});
   obs::SetMetricsEnabled(true);
 
-  auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  double metrics_overhead = median(metrics_ratios) - 1.0;
-  double tracing_overhead = median(tracing_ratios) - 1.0;
-  std::printf("\n%-14s %12s %16s %12s\n", "mode", "best cpu (s)",
-              "median overhead", "best wall(s)");
-  std::printf("%-14s %12.4f %16s %12.4f\n", kModeNames[0], best_cpu[0], "-",
-              best_wall[0]);
-  std::printf("%-14s %12.4f %15.2f%% %12.4f\n", kModeNames[1], best_cpu[1],
-              100 * metrics_overhead, best_wall[1]);
-  std::printf("%-14s %12.4f %15.2f%% %12.4f\n", kModeNames[2], best_cpu[2],
-              100 * tracing_overhead, best_wall[2]);
+  const double metrics_overhead =
+      bench::MedianPairedRatio(modes[1], modes[0]) - 1.0;
+  const double tracing_overhead =
+      bench::MedianPairedRatio(modes[2], modes[0]) - 1.0;
+  std::printf("\nflow CPU time per mode:\n");
+  bench::PrintArms(modes, "cpu seconds");
+  std::printf("median paired overhead: metrics on %.2f%%, tracing on %.2f%%\n",
+              100 * metrics_overhead, 100 * tracing_overhead);
 
-  bool metrics_ok = metrics_overhead < 0.02;
-  bool tracing_ok = tracing_overhead < 0.10;
+  const bool metrics_ok = metrics_overhead < 0.02;
+  const bool tracing_ok = tracing_overhead < 0.10;
   std::printf("\nmetrics-on CPU overhead < 2%%: %s\n",
               metrics_ok ? "HOLDS" : "VIOLATED");
   std::printf("tracing-on CPU overhead < 10%%: %s\n",
               tracing_ok ? "HOLDS" : "VIOLATED");
+
+  bench::JsonSummary summary("micro_obs_overhead", flags);
+  summary.Set("dop", static_cast<uint64_t>(flags.dop));
+  summary.Set("reps", static_cast<uint64_t>(kReps));
+  summary.Set("metrics_off_cpu_seconds", modes[0]);
+  summary.Set("metrics_on_cpu_seconds", modes[1]);
+  summary.Set("tracing_on_cpu_seconds", modes[2]);
+  summary.Set("metrics_overhead", metrics_overhead);
+  summary.Set("tracing_overhead", tracing_overhead);
+  summary.Set("metrics_ok", metrics_ok);
+  summary.Set("tracing_ok", tracing_ok);
+  summary.Write();
   return metrics_ok && tracing_ok ? 0 : 1;
 }

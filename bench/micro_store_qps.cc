@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stopwatch.h"
 #include "serve/query_engine.h"
 #include "store/annotation_store.h"
 
@@ -138,15 +139,13 @@ int main(int argc, char** argv) {
     });
   }
 
-  auto start = std::chrono::steady_clock::now();
+  const Stopwatch window;
   std::this_thread::sleep_for(std::chrono::seconds(seconds));
   stop = true;
   writer.join();
   for (auto& reader : readers) reader.join();
   compactor.Stop();
-  double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double elapsed = window.ElapsedSeconds();
 
   auto snapshot = obs::MetricsRegistry::Global().Snapshot();
   const obs::HistogramSnapshot* latency =

@@ -35,7 +35,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/hash.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "serve/admission_queue.h"
 #include "serve/query_engine.h"
 #include "store/annotation_store.h"
@@ -138,64 +140,48 @@ std::shared_ptr<store::AnnotationStore> SeedStore(const std::string& dir,
   return annotations;
 }
 
-uint64_t Fnv1a(uint64_t hash, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xff;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-uint64_t FnvString(uint64_t hash, std::string_view s) {
-  for (const char c : s) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 uint64_t DigestResponse(uint64_t hash,
                         const serve::QueryEngine::Response& response) {
   using Kind = serve::QueryEngine::Request::Kind;
   switch (response.kind) {
     case Kind::kLookup: {
       const auto& r = response.lookup;
-      hash = Fnv1a(hash, r.found ? 1 : 0);
-      hash = Fnv1a(hash, r.count);
-      hash = Fnv1a(hash, r.docs);
-      for (const uint64_t n : r.per_corpus) hash = Fnv1a(hash, n);
+      hash = Fnv1aU64(r.found ? 1 : 0, hash);
+      hash = Fnv1aU64(r.count, hash);
+      hash = Fnv1aU64(r.docs, hash);
+      for (const uint64_t n : r.per_corpus) hash = Fnv1aU64(n, hash);
       break;
     }
     case Kind::kPrefix:
       for (const std::string& name : response.names) {
-        hash = FnvString(hash, name);
+        hash = Fnv1a(name, hash);
       }
       break;
     case Kind::kFrequency: {
       const auto& r = response.frequency;
-      hash = Fnv1a(hash, r.distinct_names);
-      hash = Fnv1a(hash, r.annotations);
-      hash = Fnv1a(hash, r.sentences);
+      hash = Fnv1aU64(r.distinct_names, hash);
+      hash = Fnv1aU64(r.annotations, hash);
+      hash = Fnv1aU64(r.sentences, hash);
       uint64_t bits;
       std::memcpy(&bits, &r.per_1000_sentences, sizeof(bits));
-      hash = Fnv1a(hash, bits);
+      hash = Fnv1aU64(bits, hash);
       break;
     }
     case Kind::kTopK:
       for (const auto& entry : response.topk) {
-        hash = FnvString(hash, entry.name);
-        hash = Fnv1a(hash, entry.count);
+        hash = Fnv1a(entry.name, hash);
+        hash = Fnv1aU64(entry.count, hash);
       }
       break;
     case Kind::kCoOccurrence:
-      hash = Fnv1a(hash, response.cooccurrence.docs);
-      hash = Fnv1a(hash, response.cooccurrence.sentences);
+      hash = Fnv1aU64(response.cooccurrence.docs, hash);
+      hash = Fnv1aU64(response.cooccurrence.sentences, hash);
       break;
     case Kind::kSimilar:
-      hash = Fnv1a(hash, response.similar.index_available ? 1 : 0);
-      hash = Fnv1a(hash, response.similar.found ? 1 : 0);
+      hash = Fnv1aU64(response.similar.index_available ? 1 : 0, hash);
+      hash = Fnv1aU64(response.similar.found ? 1 : 0, hash);
       for (const auto& hit : response.similar.neighbors) {
-        hash = FnvString(hash, hit.name);
+        hash = Fnv1a(hit.name, hash);
       }
       break;
   }
@@ -261,11 +247,11 @@ int main(int argc, char** argv) {
   std::vector<uint64_t> ops_per_client(flags.clients, 0);
 
   std::vector<std::thread> clients;
-  const auto start = std::chrono::steady_clock::now();
+  const Stopwatch window;
   for (size_t c = 0; c < flags.clients; ++c) {
     clients.emplace_back([&, c] {
       Rng rng(0x5eed + c * 0x9e3779b9ULL);
-      uint64_t digest = 0xcbf29ce484222325ULL;
+      uint64_t digest = kFnv1aOffsetBasis;
       uint64_t ops = 0;
       while (flags.ops > 0 ? ops < flags.ops
                            : !stop.load(std::memory_order_relaxed)) {
@@ -290,13 +276,13 @@ int main(int argc, char** argv) {
     stop.store(true, std::memory_order_relaxed);
   }
   for (auto& client : clients) client.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double elapsed = window.ElapsedSeconds();
   queue.Stop();
 
-  uint64_t combined_digest = 0xcbf29ce484222325ULL;
-  for (const uint64_t d : digests) combined_digest = Fnv1a(combined_digest, d);
+  uint64_t combined_digest = kFnv1aOffsetBasis;
+  for (const uint64_t d : digests) {
+    combined_digest = Fnv1aU64(d, combined_digest);
+  }
 
   const auto snapshot = obs::MetricsRegistry::Global().Snapshot();
   const obs::HistogramSnapshot* latency =

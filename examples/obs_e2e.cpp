@@ -360,8 +360,8 @@ int main(int argc, char** argv) {
   }
 
   obs::TraceRecorder::Global().SetEnabled(true);
-  std::printf("observability: metrics %s, tracing on (WSIE_OBS=%d)%s\n",
-              obs::MetricsEnabled() ? "on" : "off", WSIE_OBS,
+  std::printf("observability: metrics %s, tracing on%s\n",
+              obs::MetricsEnabled() ? "on" : "off",
               stitch_only ? ", stitch-only mode" : "");
 
   // Shared analysis context + corpus (scaled down in stitch-only mode,

@@ -38,11 +38,11 @@ JSON_BENCHES=(
   fig7_semantic
   fig8_annotation_overlap
   micro_ingest
+  micro_obs_overhead
 )
 # Benches with their own flag parsing; they write BENCH_<name>.json (or
 # nothing) into the working directory, so they run from $OUT_DIR.
 PLAIN_BENCHES=(
-  micro_obs_overhead
   micro_store_qps
 )
 

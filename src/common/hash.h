@@ -32,6 +32,16 @@ constexpr uint64_t Fnv1a(std::string_view bytes,
   return seed;
 }
 
+/// FNV-1a over the eight little-endian bytes of `value`, continuing from
+/// `seed` (host byte order does not matter).
+constexpr uint64_t Fnv1aU64(uint64_t value,
+                            uint64_t seed = kFnv1aOffsetBasis) {
+  for (int i = 0; i < 8; ++i) {
+    seed = Fnv1aByte(seed, static_cast<uint8_t>(value >> (8 * i)));
+  }
+  return seed;
+}
+
 }  // namespace wsie
 
 #endif  // WSIE_COMMON_HASH_H_

@@ -13,8 +13,6 @@ class Stopwatch {
 
   /// Resets the start point to now.
   void Restart() { start_ = Clock::now(); }
-  /// Alias for Restart(), matching the common stopwatch vocabulary.
-  void Reset() { Restart(); }
 
   /// Elapsed time in integral nanoseconds — the unit the observability
   /// layer's latency histograms record.

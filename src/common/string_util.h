@@ -50,6 +50,11 @@ std::string FormatDouble(double value, int digits);
 /// Formats an integer with thousands separators ("4,233,523").
 std::string FormatWithCommas(long long value);
 
+/// Appends `text` to `out` as a quoted JSON string literal: `"` and `\` are
+/// backslash-escaped, \n and \t use their short forms, and every other byte
+/// below 0x20 becomes \u00XX. Bytes >= 0x80 pass through (UTF-8 stays UTF-8).
+void AppendJsonString(std::string* out, std::string_view text);
+
 }  // namespace wsie
 
 #endif  // WSIE_COMMON_STRING_UTIL_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "ml/crf.h"  // HashFeature
@@ -73,10 +74,10 @@ MinHashSignature NearDuplicateIndex::Signature(std::string_view text) const {
 uint64_t NearDuplicateIndex::BandKey(const MinHashSignature& signature,
                                      int band) const {
   size_t rows = signature.size() / static_cast<size_t>(options_.bands);
-  uint64_t key = 1469598103934665603ULL ^ static_cast<uint64_t>(band);
+  uint64_t key = kFnv1aShortBasis ^ static_cast<uint64_t>(band);
   for (size_t r = 0; r < rows; ++r) {
     key ^= signature[static_cast<size_t>(band) * rows + r];
-    key *= 1099511628211ULL;
+    key *= kFnv1aPrime;
   }
   return key;
 }

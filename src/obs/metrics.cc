@@ -4,34 +4,10 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/string_util.h"
+
 namespace wsie::obs {
 namespace {
-
-/// Escapes a string for embedding in JSON output (metric names carry
-/// embedded label blocks with quotes).
-std::string EscapeJson(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 std::string FormatDouble(double v) {
   char buf[64];
@@ -316,9 +292,8 @@ std::string MetricsRegistry::DumpJson() const {
   for (const CounterSnapshot& c : snap.counters) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += EscapeJson(c.name);
-    out += "\":";
+    AppendJsonString(&out, c.name);
+    out += ':';
     out += std::to_string(c.value);
   }
   out += "},\"gauges\":{";
@@ -326,9 +301,8 @@ std::string MetricsRegistry::DumpJson() const {
   for (const GaugeSnapshot& g : snap.gauges) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += EscapeJson(g.name);
-    out += "\":";
+    AppendJsonString(&out, g.name);
+    out += ':';
     out += FormatDouble(g.value);
   }
   out += "},\"histograms\":{";
@@ -336,9 +310,8 @@ std::string MetricsRegistry::DumpJson() const {
   for (const HistogramSnapshot& h : snap.histograms) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += EscapeJson(h.name);
-    out += "\":{\"count\":";
+    AppendJsonString(&out, h.name);
+    out += ":{\"count\":";
     out += std::to_string(h.count);
     out += ",\"sum\":";
     out += FormatDouble(h.sum);

@@ -12,29 +12,18 @@
 #include <thread>
 #include <vector>
 
-/// Compile-time observability level:
-///   0 — everything compiled out (all hot-path checks fold to constants),
-///   1 — metrics only,
-///   2 — metrics + tracing (default).
-/// Set via -DWSIE_OBS_LEVEL=<n> at CMake configure time.
-#ifndef WSIE_OBS
-#define WSIE_OBS 2
-#endif
-
 namespace wsie::obs {
 
 // ---------------------------------------------------------------------------
 // Runtime enable. The hot-path predicate is one relaxed atomic load plus a
-// branch; with WSIE_OBS == 0 it is a compile-time false and every metric
-// call site is dead code.
+// branch.
 
 namespace internal {
 inline std::atomic<bool> g_metrics_enabled{true};
 }  // namespace internal
 
 inline bool MetricsEnabled() {
-  return WSIE_OBS >= 1 &&
-         internal::g_metrics_enabled.load(std::memory_order_relaxed);
+  return internal::g_metrics_enabled.load(std::memory_order_relaxed);
 }
 inline void SetMetricsEnabled(bool enabled) {
   internal::g_metrics_enabled.store(enabled, std::memory_order_relaxed);

@@ -18,8 +18,7 @@ class ScopedTimer {
   explicit ScopedTimer(Histogram* histogram, std::string_view span_name = {},
                        std::string_view span_args = {})
       : histogram_(histogram) {
-    if (WSIE_OBS >= 2 && !span_name.empty() &&
-        TraceRecorder::Global().enabled()) {
+    if (!span_name.empty() && TraceRecorder::Global().enabled()) {
       recording_ = true;
       TraceRecorder::Global().Begin(span_name, span_args);
     }

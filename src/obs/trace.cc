@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/string_util.h"
+
 namespace wsie::obs {
 namespace {
 
@@ -13,23 +15,6 @@ void CopyTruncated(char* dst, size_t cap, std::string_view src) {
   size_t n = std::min(cap - 1, src.size());
   std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
-}
-
-void AppendEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"') {
-      *out += "\\\"";
-    } else if (c == '\\') {
-      *out += "\\\\";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      *out += c;
-    }
-  }
 }
 
 uint64_t SplitMix64(uint64_t x) {
@@ -93,9 +78,9 @@ void AppendChromeEvent(std::string* out, bool* first, const TraceEvent& event,
                        int pid, int tid, int64_t offset_ns) {
   if (!*first) *out += ',';
   *first = false;
-  *out += "{\"name\":\"";
-  AppendEscaped(out, event.name);
-  *out += "\",\"cat\":\"wsie\",\"ph\":\"";
+  *out += "{\"name\":";
+  AppendJsonString(out, event.name);
+  *out += ",\"cat\":\"wsie\",\"ph\":\"";
   *out += event.phase;
   char buf[80];
   // Chrome trace timestamps are microseconds; keep ns resolution. The
@@ -106,9 +91,9 @@ void AppendChromeEvent(std::string* out, bool* first, const TraceEvent& event,
                 static_cast<double>(ts_ns) / 1000.0, pid, tid);
   *out += buf;
   if (event.args[0] != '\0') {
-    *out += ",\"args\":{\"detail\":\"";
-    AppendEscaped(out, event.args);
-    *out += "\"}";
+    *out += ",\"args\":{\"detail\":";
+    AppendJsonString(out, event.args);
+    *out += '}';
   }
   *out += '}';
 }

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/metrics.h"  // WSIE_OBS level
+#include "obs/metrics.h"
 
 namespace wsie::obs {
 
@@ -80,7 +80,7 @@ class TraceRecorder {
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void SetEnabled(bool enabled) {
-    enabled_.store(WSIE_OBS >= 2 && enabled, std::memory_order_relaxed);
+    enabled_.store(enabled, std::memory_order_relaxed);
   }
 
   /// Ring capacity, in events per thread (default 65536). Applies to
@@ -152,7 +152,7 @@ class TraceRecorder {
 class ScopedSpan {
  public:
   explicit ScopedSpan(std::string_view name, std::string_view args = {}) {
-    if (WSIE_OBS >= 2 && TraceRecorder::Global().enabled()) {
+    if (TraceRecorder::Global().enabled()) {
       recording_ = true;
       TraceRecorder::Global().Begin(name, args);
     }
@@ -177,16 +177,10 @@ void ResetForkedProcessObs();
 
 }  // namespace wsie::obs
 
-/// Span macro: compiled out entirely below trace level.
-#if WSIE_OBS >= 2
+/// Span macro: declares a ScopedSpan local with a line-unique name.
 #define WSIE_OBS_CONCAT_(a, b) a##b
 #define WSIE_OBS_CONCAT(a, b) WSIE_OBS_CONCAT_(a, b)
 #define WSIE_TRACE_SPAN(...) \
   ::wsie::obs::ScopedSpan WSIE_OBS_CONCAT(wsie_span_, __LINE__)(__VA_ARGS__)
-#else
-#define WSIE_TRACE_SPAN(...) \
-  do {                       \
-  } while (0)
-#endif
 
 #endif  // WSIE_OBS_TRACE_H_

@@ -1,34 +1,17 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/epoch.h"
 #include "common/hash.h"
+#include "obs/scoped_timer.h"
 
 namespace wsie::serve {
 namespace {
 
 using store::AnnotationStore;
 using store::ServingIndex;
-
-/// Records elapsed wall time into the latency histogram on scope exit.
-class LatencyScope {
- public:
-  explicit LatencyScope(obs::Histogram* histogram)
-      : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
-  ~LatencyScope() {
-    auto elapsed = std::chrono::steady_clock::now() - start_;
-    histogram_->Observe(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count()));
-  }
-
- private:
-  obs::Histogram* histogram_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 bool GroupMatches(const store::PostingGroup& group, const QueryFilter& filter) {
   if (filter.corpus != kAny && group.corpus != filter.corpus) return false;
@@ -148,7 +131,7 @@ QueryEngine::LookupResult QueryEngine::Lookup(std::string_view name,
                                               const QueryFilter& filter,
                                               size_t max_postings) const {
   queries_lookup_->Increment();
-  LatencyScope timer(latency_ns_);
+  obs::ScopedTimer timer(latency_ns_);
   AnnotationStore::PinnedSet pin(*store_);
   snapshot_segments_->Set(static_cast<double>(pin->segments.size()));
 
@@ -209,7 +192,7 @@ QueryEngine::LookupResult QueryEngine::Lookup(std::string_view name,
 std::vector<std::string> QueryEngine::PrefixScan(std::string_view prefix,
                                                  size_t limit) const {
   queries_prefix_->Increment();
-  LatencyScope timer(latency_ns_);
+  obs::ScopedTimer timer(latency_ns_);
   AnnotationStore::PinnedSet pin(*store_);
   snapshot_segments_->Set(static_cast<double>(pin->segments.size()));
 
@@ -227,7 +210,7 @@ std::vector<std::string> QueryEngine::PrefixScan(std::string_view prefix,
 QueryEngine::FrequencyResult QueryEngine::CorpusFrequency(int corpus, int type,
                                                           int method) const {
   queries_frequency_->Increment();
-  LatencyScope timer(latency_ns_);
+  obs::ScopedTimer timer(latency_ns_);
   FrequencyResult result;
   if (corpus < 0 || corpus >= static_cast<int>(store::kNumCorpora) ||
       type < 0 || type >= static_cast<int>(store::kNumTypes)) {
@@ -263,7 +246,7 @@ QueryEngine::FrequencyResult QueryEngine::CorpusFrequency(int corpus, int type,
 std::vector<QueryEngine::EntityCount> QueryEngine::TopK(
     size_t k, const QueryFilter& filter) const {
   queries_topk_->Increment();
-  LatencyScope timer(latency_ns_);
+  obs::ScopedTimer timer(latency_ns_);
   AnnotationStore::PinnedSet pin(*store_);
   snapshot_segments_->Set(static_cast<double>(pin->segments.size()));
   const ServingIndex& index = pin->index;
@@ -307,7 +290,7 @@ std::vector<QueryEngine::EntityCount> QueryEngine::TopK(
 QueryEngine::CoOccurrenceResult QueryEngine::CoOccurrence(
     std::string_view a, std::string_view b, const QueryFilter& filter) const {
   queries_cooccurrence_->Increment();
-  LatencyScope timer(latency_ns_);
+  obs::ScopedTimer timer(latency_ns_);
   AnnotationStore::PinnedSet pin(*store_);
   snapshot_segments_->Set(static_cast<double>(pin->segments.size()));
 
@@ -330,8 +313,8 @@ QueryEngine::SimilarResult QueryEngine::Similar(std::string_view text,
                                                 size_t k, size_t beam) const {
   queries_similar_->Increment();
   vec_queries_->Increment();
-  LatencyScope timer(latency_ns_);
-  LatencyScope vec_timer(vec_latency_ns_);
+  obs::ScopedTimer timer(latency_ns_);
+  obs::ScopedTimer vec_timer(vec_latency_ns_);
   AnnotationStore::PinnedSet pin(*store_);
   snapshot_segments_->Set(static_cast<double>(pin->segments.size()));
 
@@ -476,11 +459,7 @@ void QueryEngine::ExecuteBatch(const Request* requests, Response* responses,
 
 uint64_t QueryEngine::Digest(const Request& request) {
   uint64_t h = kFnv1aShortBasis;
-  auto mix_u64 = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = Fnv1aByte(h, static_cast<uint8_t>(v >> (8 * i)));
-    }
-  };
+  auto mix_u64 = [&h](uint64_t v) { h = Fnv1aU64(v, h); };
   auto mix_str = [&](const std::string& s) {
     mix_u64(s.size());
     h = Fnv1a(s, h);

@@ -1,43 +1,11 @@
 #include "serve/slow_query_log.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "common/string_util.h"
+
 namespace wsie::serve {
-namespace {
-
-void AppendJsonString(const std::string& in, std::string* out) {
-  out->push_back('"');
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 const char* RequestKindName(QueryEngine::Request::Kind kind) {
   using Kind = QueryEngine::Request::Kind;
@@ -138,9 +106,9 @@ std::string SlowQueryLog::DumpJson() const {
     out.append("{\"kind\":\"");
     out.append(RequestKindName(e.kind));
     out.append("\",\"name\":");
-    AppendJsonString(e.name, &out);
+    AppendJsonString(&out, e.name);
     out.append(",\"name_b\":");
-    AppendJsonString(e.name_b, &out);
+    AppendJsonString(&out, e.name_b);
     out.append(",\"corpus\":" + std::to_string(e.corpus));
     out.append(",\"type\":" + std::to_string(e.type));
     out.append(",\"method\":" + std::to_string(e.method));

@@ -10,6 +10,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "dataflow/executor.h"
 #include "obs/metrics.h"
 #include "obs/remote.h"
@@ -22,10 +23,17 @@ using dataflow::Dataset;
 using dataflow::Plan;
 using dataflow::Record;
 
-double Seconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
+/// The executor a shard-side process (worker or coordinator) runs its
+/// fragments on; `shard_id` labels its metrics.
+dataflow::ExecutorConfig ShardExecutorConfig(const ShardOptions& options,
+                                             int shard_id) {
+  dataflow::ExecutorConfig config;
+  config.dop = std::max<size_t>(1, options.dop_per_shard);
+  config.fuse_pipelines = options.fuse_pipelines;
+  config.cache_opens = options.cache_opens;
+  config.max_task_retries = options.max_task_retries;
+  config.shard_id = shard_id;
+  return config;
 }
 
 /// Builds the executable sub-plan of one fragment against a shard's plan
@@ -85,7 +93,7 @@ ShardWorkerStats RunShardWorker(const WorkerEnv& env) {
   const ShardOptions& options = *env.options;
   const int num_shards = static_cast<int>(options.num_shards);
   const int coordinator = num_shards;
-  const auto started = std::chrono::steady_clock::now();
+  const Stopwatch wall;
 
   ShardWorkerStats stats;
   stats.shard = env.shard;
@@ -98,17 +106,11 @@ ShardWorkerStats RunShardWorker(const WorkerEnv& env) {
   obs::ScopedSpan worker_span(
       span_name, obs::TraceContextArgs(obs::CurrentTraceContext()));
 
-  dataflow::ExecutorConfig config;
-  config.dop = std::max<size_t>(1, options.dop_per_shard);
-  config.fuse_pipelines = options.fuse_pipelines;
-  config.cache_opens = options.cache_opens;
-  config.max_task_retries = options.max_task_retries;
-  config.shard_id = env.shard;
-  dataflow::Executor executor(config);
+  dataflow::Executor executor(ShardExecutorConfig(options, env.shard));
 
   auto fail = [&](Status status) {
     stats.status = std::move(status);
-    stats.wall_seconds = Seconds(started);
+    stats.wall_seconds = wall.ElapsedSeconds();
     env.transport->Abort(stats.status);
     return stats;
   };
@@ -246,7 +248,7 @@ ShardWorkerStats RunShardWorker(const WorkerEnv& env) {
     Status finish = options.per_shard_finish(env.shard);
     if (!finish.ok()) return fail(finish);
   }
-  stats.wall_seconds = Seconds(started);
+  stats.wall_seconds = wall.ElapsedSeconds();
   return stats;
 }
 
@@ -261,13 +263,7 @@ Result<std::map<std::string, Dataset>> RunCoordinator(
   const int coordinator = num_shards;
   std::map<std::string, Dataset> sink_outputs;
 
-  dataflow::ExecutorConfig config;
-  config.dop = std::max<size_t>(1, options.dop_per_shard);
-  config.fuse_pipelines = options.fuse_pipelines;
-  config.cache_opens = options.cache_opens;
-  config.max_task_retries = options.max_task_retries;
-  config.shard_id = coordinator;
-  dataflow::Executor executor(config);
+  dataflow::Executor executor(ShardExecutorConfig(options, coordinator));
 
   auto fail = [&](Status status) -> Status {
     transport->Abort(status);
@@ -487,7 +483,7 @@ Result<ShardExecutionResult> ShardRuntime::Run(
         "sequential_workers is an in-process measurement mode");
   }
 
-  const auto started = std::chrono::steady_clock::now();
+  const Stopwatch wall;
   // One distributed trace per run: keep an inherited trace id (a nested run
   // stays inside its caller's trace), mint a fresh root span id, and make
   // the pair current so workers inherit it across fork — or adopt it from
@@ -516,7 +512,7 @@ Result<ShardExecutionResult> ShardRuntime::Run(
   result->trace_id = run_ctx.trace_id;
   result->fragments = splan.fragments.size();
   result->sharded_fragments = splan.sharded_fragments;
-  result->total_seconds = Seconds(started);
+  result->total_seconds = wall.ElapsedSeconds();
 
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("wsie.shard.runs")->Increment();

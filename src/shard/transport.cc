@@ -59,34 +59,45 @@ std::string EncodeFrame(const Frame& frame) {
   return out;
 }
 
-/// Parses one complete frame from the front of `buf`, erasing its bytes.
-/// Returns true when a frame was extracted; `*error` is set on corruption.
-bool ExtractFrame(std::string* buf, Frame* frame, Status* error) {
-  if (buf->size() < kHeaderBytes) return false;
-  const char* p = buf->data();
+/// Decodes a frame header into `frame`'s six fixed fields and
+/// `*payload_len`, rejecting a bad magic or a payload over the 1 GiB cap.
+Status DecodeHeader(const char* p, Frame* frame, uint64_t* payload_len) {
   if (GetU32(p) != kFrameMagic) {
-    *error = Status::InvalidArgument("transport: bad frame magic");
-    return false;
+    return Status::InvalidArgument("transport: bad frame magic");
   }
-  const uint64_t payload_len = GetU64(p + kPayloadLenOffset);
-  if (payload_len > kMaxPayloadBytes) {
-    *error = Status::InvalidArgument("transport: oversized frame");
-    return false;
+  *payload_len = GetU64(p + kPayloadLenOffset);
+  if (*payload_len > kMaxPayloadBytes) {
+    return Status::InvalidArgument("transport: oversized frame");
   }
-  const size_t total = kHeaderBytes + payload_len + kTrailerBytes;
-  if (buf->size() < total) return false;
   frame->channel = static_cast<int32_t>(GetU32(p + 4));
   frame->from = static_cast<int32_t>(GetU32(p + 8));
   frame->to = static_cast<int32_t>(GetU32(p + 12));
   frame->rows = GetU32(p + 16);
   frame->trace_id = GetU64(p + 20);
   frame->parent_span = GetU64(p + 28);
-  frame->payload.assign(p + kHeaderBytes, payload_len);
-  if (GetU64(p + kHeaderBytes + payload_len) !=
-      Fnv1a(frame->payload, kFnv1aShortBasis)) {
-    *error = Status::InvalidArgument("transport: frame checksum mismatch");
-    return false;
+  return Status::OK();
+}
+
+Status CheckTrailer(const char* trailer, const std::string& payload) {
+  if (GetU64(trailer) != Fnv1a(payload, kFnv1aShortBasis)) {
+    return Status::InvalidArgument("transport: frame checksum mismatch");
   }
+  return Status::OK();
+}
+
+/// Parses one complete frame from the front of `buf`, erasing its bytes.
+/// Returns true when a frame was extracted; `*error` is set on corruption.
+bool ExtractFrame(std::string* buf, Frame* frame, Status* error) {
+  if (buf->size() < kHeaderBytes) return false;
+  const char* p = buf->data();
+  uint64_t payload_len = 0;
+  *error = DecodeHeader(p, frame, &payload_len);
+  if (!error->ok()) return false;
+  const size_t total = kHeaderBytes + payload_len + kTrailerBytes;
+  if (buf->size() < total) return false;
+  frame->payload.assign(p + kHeaderBytes, payload_len);
+  *error = CheckTrailer(p + kHeaderBytes + payload_len, frame->payload);
+  if (!error->ok()) return false;
   buf->erase(0, total);
   return true;
 }
@@ -217,29 +228,16 @@ Status WriteFrame(int fd, const Frame& frame) {
 Result<Frame> ReadFrame(int fd) {
   char header[kHeaderBytes];
   WSIE_RETURN_NOT_OK(RecvExact(fd, header, sizeof(header)));
-  if (GetU32(header) != kFrameMagic) {
-    return Status::InvalidArgument("transport: bad frame magic");
-  }
-  const uint64_t payload_len = GetU64(header + kPayloadLenOffset);
-  if (payload_len > kMaxPayloadBytes) {
-    return Status::InvalidArgument("transport: oversized frame");
-  }
   Frame frame;
-  frame.channel = static_cast<int32_t>(GetU32(header + 4));
-  frame.from = static_cast<int32_t>(GetU32(header + 8));
-  frame.to = static_cast<int32_t>(GetU32(header + 12));
-  frame.rows = GetU32(header + 16);
-  frame.trace_id = GetU64(header + 20);
-  frame.parent_span = GetU64(header + 28);
+  uint64_t payload_len = 0;
+  WSIE_RETURN_NOT_OK(DecodeHeader(header, &frame, &payload_len));
   frame.payload.resize(payload_len);
   if (payload_len > 0) {
     WSIE_RETURN_NOT_OK(RecvExact(fd, frame.payload.data(), payload_len));
   }
   char trailer[kTrailerBytes];
   WSIE_RETURN_NOT_OK(RecvExact(fd, trailer, sizeof(trailer)));
-  if (GetU64(trailer) != Fnv1a(frame.payload, kFnv1aShortBasis)) {
-    return Status::InvalidArgument("transport: frame checksum mismatch");
-  }
+  WSIE_RETURN_NOT_OK(CheckTrailer(trailer, frame.payload));
   return frame;
 }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -278,6 +279,24 @@ TEST(StringUtilTest, Formatting) {
   EXPECT_EQ(FormatWithCommas(4233523), "4,233,523");
   EXPECT_EQ(FormatWithCommas(-1000), "-1,000");
   EXPECT_EQ(FormatWithCommas(12), "12");
+}
+
+TEST(StringUtilTest, AppendJsonStringEscapes) {
+  std::string out = "x=";
+  AppendJsonString(&out, std::string("a\"b\\c\nd\te") + '\x01' + '\x1f' +
+                             "\xc3\xa9");
+  EXPECT_EQ(out, "x=\"a\\\"b\\\\c\\nd\\te\\u0001\\u001f\xc3\xa9\"");
+  out.clear();
+  AppendJsonString(&out, "");
+  EXPECT_EQ(out, "\"\"");
+}
+
+TEST(HashTest, Fnv1aU64FoldsLittleEndianBytes) {
+  const uint64_t value = 0x0102030405060708ULL;
+  const char bytes[] = {8, 7, 6, 5, 4, 3, 2, 1};
+  EXPECT_EQ(Fnv1aU64(value), Fnv1a(std::string_view(bytes, 8)));
+  EXPECT_EQ(Fnv1aU64(value, kFnv1aShortBasis),
+            Fnv1a(std::string_view(bytes, 8), kFnv1aShortBasis));
 }
 
 // --------------------------------------------------------------- pool

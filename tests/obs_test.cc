@@ -28,7 +28,7 @@ TEST(StopwatchTest, ElapsedNsAndReset) {
   EXPECT_GT(first, 0);
   EXPECT_NEAR(static_cast<double>(first) / 1e3, watch.ElapsedMicros(),
               watch.ElapsedMicros());
-  watch.Reset();
+  watch.Restart();
   EXPECT_LT(watch.ElapsedNs(), first + 1000000000LL);
 }
 
@@ -41,25 +41,6 @@ TEST(RegistryTest, HandlesAreStableAndNamesDeduplicate) {
   registry.GetGauge("wsie.test.same");  // distinct kind, same name: distinct
   EXPECT_EQ(registry.num_metrics(), 2u);
 }
-
-#if WSIE_OBS == 0
-
-TEST(CompiledOutTest, MetricsAreInert) {
-  // At level 0 every hot-path check folds to compile-time false: values
-  // never move, dumps are empty of nonzero data, registration still works.
-  EXPECT_FALSE(MetricsEnabled());
-  Counter counter;
-  counter.Add(5);
-  EXPECT_EQ(counter.Value(), 0u);
-  Gauge gauge;
-  gauge.Set(1.0);
-  EXPECT_DOUBLE_EQ(gauge.Value(), 0.0);
-  Histogram hist({1.0});
-  hist.Observe(0.5);
-  EXPECT_EQ(hist.Count(), 0u);
-}
-
-#else  // WSIE_OBS >= 1: the counting layer is live.
 
 TEST(CounterTest, ConcurrentIncrementsAreExact) {
   // N threads x M counters, interleaved; every shard sum must be exact.
@@ -246,6 +227,24 @@ TEST(RegistryTest, JsonDumpParsesWithRepoParser) {
   ASSERT_EQ(hist.Field("buckets").AsArray().size(), 2u);
 }
 
+TEST(RegistryTest, JsonDumpEscapesControlBytesInNames) {
+  // A name byte below 0x20 must leave DumpJson escaped (\u0001), never raw:
+  // raw control bytes inside a JSON string make the document invalid.
+  MetricsRegistry registry;
+  const std::string name = std::string("wsie.test.ctl") + '\x01' + "name";
+  registry.GetCounter(name)->Add(3);
+  registry.GetGauge(name)->Set(1.5);
+  registry.GetHistogram(name, {1.0})->Observe(0.5);
+  const std::string json = registry.DumpJson();
+  for (const char c : json) {
+    ASSERT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  }
+  EXPECT_NE(json.find("wsie.test.ctl\\u0001name"), std::string::npos);
+  Result<dataflow::Value> parsed = dataflow::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Field("counters").Field(name).AsInt(), 3);
+}
+
 TEST(RegistryTest, ResetZeroesButKeepsHandles) {
   MetricsRegistry registry;
   Counter* counter = registry.GetCounter("wsie.test.reset");
@@ -255,10 +254,6 @@ TEST(RegistryTest, ResetZeroesButKeepsHandles) {
   counter->Add(2);
   EXPECT_EQ(registry.Snapshot().CounterValue("wsie.test.reset"), 2u);
 }
-
-#endif  // WSIE_OBS >= 1
-
-#if WSIE_OBS >= 2
 
 TEST(TraceTest, RoundTripIsValidAndBalanced) {
   TraceRecorder recorder;
@@ -366,11 +361,8 @@ TEST(ScopedTimerTest, FeedsHistogramAndSpan) {
   EXPECT_EQ(global.buffered(), before + 2);
 }
 
-#endif  // WSIE_OBS >= 2
-
 // ---------------------------------------------------------------------------
-// Log-spaced bucket bounds. Pure functions of (lo, hi, count): testable at
-// every WSIE_OBS level.
+// Log-spaced bucket bounds. Pure functions of (lo, hi, count).
 
 TEST(LogSpacedBucketsTest, ShapeAndEndpoints) {
   std::vector<double> bounds = LogSpacedBuckets(1e3, 1e6, 46);
@@ -616,8 +608,6 @@ TEST(StitchTest, MultiProcessTraceValidatesWithDistinctPids) {
   EXPECT_NE(json.find("shard.worker.1"), std::string::npos);
 }
 
-#if WSIE_OBS >= 2
-
 TEST(TraceDroppedMetricTest, RingOverwritesExportAsCounter) {
   const uint64_t before = MetricsRegistry::Global().Snapshot().CounterValue(
       "wsie.obs.trace.dropped");
@@ -653,8 +643,6 @@ TEST(TraceTest, ExportBalancedStreamsHaveMatchedPairs) {
   }
   EXPECT_EQ(depth, 0);
 }
-
-#endif  // WSIE_OBS >= 2
 
 // The profiler drives SIGPROF through real signal delivery; sanitizer
 // runtimes intercept signals and make its timing assertions meaningless,

@@ -809,7 +809,71 @@ TEST(FrameTraceTest, TraceContextRoundTripsThroughFrames) {
   ::close(fds[1]);
 }
 
-#if WSIE_OBS >= 1
+// Pushes `bytes` through a fresh socketpair and decodes them with
+// ReadFrame; the write side is closed so a short stream fails fast.
+Result<Frame> ReadFrameFromBytes(const std::string& bytes) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    return Status::Internal("socketpair failed");
+  }
+  const ssize_t sent = ::send(fds[0], bytes.data(), bytes.size(), 0);
+  ::close(fds[0]);
+  Result<Frame> read = static_cast<size_t>(sent) == bytes.size()
+                           ? ReadFrame(fds[1])
+                           : Result<Frame>(Status::Internal("short send"));
+  ::close(fds[1]);
+  return read;
+}
+
+// The encoded bytes of a small valid frame (via WriteFrame).
+std::string ValidFrameBytes() {
+  Frame frame;
+  frame.channel = 1;
+  frame.rows = 2;
+  EncodeDataset(RandomRecords(2, 71), &frame.payload);
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  EXPECT_TRUE(WriteFrame(fds[0], frame).ok());
+  ::close(fds[0]);
+  std::string bytes;
+  char buf[4096];
+  for (ssize_t n = 0; (n = ::recv(fds[1], buf, sizeof(buf), 0)) > 0;) {
+    bytes.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fds[1]);
+  return bytes;
+}
+
+TEST(FrameCodecTest, ReadFrameRejectsBadMagic) {
+  std::string bytes = ValidFrameBytes();
+  bytes[0] ^= 0x5a;
+  Result<Frame> read = ReadFrameFromBytes(bytes);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("bad frame magic"),
+            std::string::npos);
+}
+
+TEST(FrameCodecTest, ReadFrameRejectsPayloadOverOneGiB) {
+  std::string bytes = ValidFrameBytes();
+  // The u64 little-endian payload length sits at header offset 36.
+  const uint64_t oversized = (1ull << 30) + 1;
+  for (int i = 0; i < 8; ++i) {
+    bytes[36 + i] = static_cast<char>((oversized >> (8 * i)) & 0xff);
+  }
+  Result<Frame> read = ReadFrameFromBytes(bytes);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("oversized frame"),
+            std::string::npos);
+}
+
+TEST(FrameCodecTest, ReadFrameRejectsFlippedPayloadByte) {
+  std::string bytes = ValidFrameBytes();
+  bytes[44] ^= 0x01;  // first payload byte, just past the 44-byte header
+  Result<Frame> read = ReadFrameFromBytes(bytes);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("checksum mismatch"),
+            std::string::npos);
+}
 
 TEST(ShardObsCollectTest, MergedCountersAreExactSumsAndForkSafe) {
   // The fork-safety contract: a parent-side count bumped before the run
@@ -890,10 +954,6 @@ TEST(ShardObsCollectTest, CollectCanBeDisabled) {
   EXPECT_TRUE(result->obs.per_shard.empty());
 }
 
-#endif  // WSIE_OBS >= 1
-
-#if WSIE_OBS >= 2
-
 TEST(ShardObsCollectTest, EightForkedWorkersStitchIntoOneValidTrace) {
   obs::TraceRecorder::Global().SetEnabled(true);
   Dataset input = RandomRecords(64, 79);
@@ -936,8 +996,6 @@ TEST(ShardObsCollectTest, EightForkedWorkersStitchIntoOneValidTrace) {
   EXPECT_GE(result->obs.stitch.events, 2u * 9u);
   ASSERT_EQ(result->obs.offsets_ns.size(), result->obs.per_shard.size());
 }
-
-#endif  // WSIE_OBS >= 2
 
 // ------------------------------------------------------------ Store merge
 
