@@ -6,15 +6,14 @@
 // latency quantiles are read from the wsie.serve.query.latency_ns
 // histogram — the same numbers the obs exporters ship.
 //
-// Reader count defaults to the machine's hardware concurrency; override
-// with --readers=N (or the WSIE_QPS_THREADS env knob), the window with
-// --seconds=N (or WSIE_QPS_SECONDS, default 2).
+// --dop=N sets the reader count (default: the machine's hardware
+// concurrency); the measurement window is a fixed 2 s. --json=PATH writes
+// the BENCH_micro_store_qps.json summary elsewhere (none suppresses it).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -27,36 +26,18 @@
 
 namespace {
 
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  long parsed = std::strtol(value, nullptr, 10);
-  return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
-}
-
-size_t FlagSize(int argc, char** argv, const char* name, size_t fallback) {
-  const size_t name_len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, name_len) != 0 ||
-        argv[i][name_len] != '=') {
-      continue;
-    }
-    long parsed = std::strtol(argv[i] + name_len + 1, nullptr, 10);
-    if (parsed > 0) return static_cast<size_t>(parsed);
-  }
-  return fallback;
-}
+// Long enough for dozens of background compactions at a 3 ms append cadence,
+// short enough to keep the bench sweep quick.
+constexpr std::chrono::seconds kWindow{2};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace wsie;
-  const size_t hw = std::thread::hardware_concurrency();
-  const size_t default_readers = EnvSize("WSIE_QPS_THREADS", hw > 0 ? hw : 1);
-  const size_t num_readers =
-      FlagSize(argc, argv, "--readers", default_readers);
-  const size_t seconds =
-      FlagSize(argc, argv, "--seconds", EnvSize("WSIE_QPS_SECONDS", 2));
+  bench::BenchFlags defaults;
+  defaults.dop = std::max(1u, std::thread::hardware_concurrency());
+  const bench::BenchFlags flags = bench::ParseBenchFlags(argc, argv, defaults);
+  const size_t num_readers = flags.dop;
   bench::PrintHeader("Store query throughput under active compaction",
                      "serving-layer microbench");
 
@@ -140,7 +121,7 @@ int main(int argc, char** argv) {
   }
 
   const Stopwatch window;
-  std::this_thread::sleep_for(std::chrono::seconds(seconds));
+  std::this_thread::sleep_for(kWindow);
   stop = true;
   writer.join();
   for (auto& reader : readers) reader.join();
@@ -175,5 +156,19 @@ int main(int argc, char** argv) {
             compactor.compactions_run() > 0;
   std::printf("\nConcurrent serving under compaction, zero failures: %s\n",
               ok ? "HOLDS" : "VIOLATED");
+
+  bench::JsonSummary summary("micro_store_qps", flags);
+  summary.Set("readers", static_cast<uint64_t>(num_readers));
+  summary.Set("window_seconds", elapsed);
+  summary.Set("queries", total_queries.load());
+  summary.Set("qps", qps);
+  summary.Set("failed_queries", failed_queries.load());
+  summary.Set("compactions", compactor.compactions_run());
+  if (latency != nullptr && latency->count > 0) {
+    summary.Set("latency_p50_us", latency->Quantile(0.5) / 1e3);
+    summary.Set("latency_p99_us", latency->Quantile(0.99) / 1e3);
+  }
+  summary.Set("pass", ok);
+  summary.Write();
   return ok ? 0 : 1;
 }

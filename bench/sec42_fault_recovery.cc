@@ -114,7 +114,6 @@ std::string RunExtraction(const dataflow::Plan& plan,
                           int max_task_retries, uint64_t* retries_out) {
   dataflow::ExecutorConfig config;
   config.dop = 4;
-  config.min_partition_records = 1;
   config.morsel_records = 16;
   config.fuse_pipelines = true;
   config.max_task_retries = max_task_retries;

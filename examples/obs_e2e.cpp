@@ -16,8 +16,8 @@
 //
 // fork_shards (default 8, 0 disables) adds the distributed-observability
 // leg: the analysis flow re-runs on that many forked socketpair workers,
-// each worker ships its TraceRecorder ring + MetricsSnapshot back over the
-// transport's obs channel, and the coordinator validates the stitched
+// each worker ships its TraceRecorder ring + MetricsSnapshot back in its
+// end-of-run control frame, and the coordinator validates the stitched
 // multi-pid Chrome trace (written to <trace.json>.stitched.json) plus the
 // merged-counter and per-shard-skew invariants. --stitch-only skips the
 // crawl/serve legs and runs just that leg at a reduced scale — the mode

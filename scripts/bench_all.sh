@@ -39,10 +39,6 @@ JSON_BENCHES=(
   fig8_annotation_overlap
   micro_ingest
   micro_obs_overhead
-)
-# Benches with their own flag parsing; they write BENCH_<name>.json (or
-# nothing) into the working directory, so they run from $OUT_DIR.
-PLAIN_BENCHES=(
   micro_store_qps
 )
 
@@ -57,17 +53,14 @@ if [[ -n "${WSIE_BENCH_ONLY:-}" ]]; then
     echo "${kept[@]:-}"
   }
   read -r -a JSON_BENCHES <<<"$(filter "${JSON_BENCHES[@]}")"
-  read -r -a PLAIN_BENCHES <<<"$(filter "${PLAIN_BENCHES[@]}")"
 fi
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_DIR" -j --target \
   ${JSON_BENCHES[@]+"${JSON_BENCHES[@]}"} \
-  ${PLAIN_BENCHES[@]+"${PLAIN_BENCHES[@]}"} \
   || fail "build"
 
 mkdir -p "$OUT_DIR"
-ROOT="$(pwd)"
 
 for bench in ${JSON_BENCHES[@]+"${JSON_BENCHES[@]}"}; do
   echo "== $bench =="
@@ -76,13 +69,6 @@ for bench in ${JSON_BENCHES[@]+"${JSON_BENCHES[@]}"}; do
     || fail "$bench (see $OUT_DIR/${bench}.log)"
   [[ -s "$OUT_DIR/BENCH_${bench}.json" ]] \
     || fail "$bench: BENCH_${bench}.json missing or empty"
-done
-
-for bench in ${PLAIN_BENCHES[@]+"${PLAIN_BENCHES[@]}"}; do
-  echo "== $bench =="
-  (cd "$OUT_DIR" && "$ROOT/$BUILD_DIR/bench/$bench" \
-    >"${bench}.log" 2>&1) \
-    || fail "$bench (see $OUT_DIR/${bench}.log)"
 done
 
 echo

@@ -5,7 +5,7 @@
 #   3. runs the full pipeline (faulty web -> crawl -> analysis flow) with
 #      tracing enabled, including the multiprocess leg: the flow re-runs on
 #      8 forked socketpair workers, each ships its trace ring + metrics
-#      snapshot back over the transport's obs channel, and obs_e2e
+#      snapshot back in its end-of-run control frame, and obs_e2e
 #      validates both the single-process Chrome trace and the stitched
 #      multi-pid trace (balanced B/E per thread, monotone timestamps,
 #      merged counters == per-shard sums) and fails on error,

@@ -42,7 +42,6 @@ AnalysisContext::AnalysisContext(AnalysisContextConfig config)
   TrainCrf(ie::EntityType::kGene);
   TrainCrf(ie::EntityType::kDrug);
   TrainCrf(ie::EntityType::kDisease);
-  if (!config_.lazy_dictionaries) BuildDictionaries();
 }
 
 std::vector<ie::TaggedSentence> AnalysisContext::MakeGoldSentences(
@@ -119,12 +118,6 @@ const ie::DictionaryTagger& AnalysisContext::dictionary_tagger(
     slot = std::make_unique<ie::DictionaryTagger>(type, known);
   }
   return *slot;
-}
-
-void AnalysisContext::BuildDictionaries() const {
-  dictionary_tagger(ie::EntityType::kGene);
-  dictionary_tagger(ie::EntityType::kDrug);
-  dictionary_tagger(ie::EntityType::kDisease);
 }
 
 }  // namespace wsie::core

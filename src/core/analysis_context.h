@@ -28,9 +28,6 @@ struct AnalysisContextConfig {
   /// Hard sentence-length cap for the POS tagger (tokens); 0 = unlimited.
   size_t pos_max_tokens = 1000;
   uint64_t seed = 4242;
-  /// Build dictionary taggers lazily in operator Open() (true reproduces
-  /// the per-flow start-up cost; false prebuilds at context construction).
-  bool lazy_dictionaries = true;
   /// Fraction of each lexicon present in the dictionaries. Dictionaries are
   /// "necessarily incomplete in a field developing as fast as biomedical
   /// research" (Sect. 3.2) — dictionary matching therefore has good
@@ -70,12 +67,10 @@ class AnalysisContext {
   /// in-house disease tagger).
   const ie::CrfTagger& crf_tagger(ie::EntityType type) const;
 
-  /// Dictionary tagger for `type`; builds it on first use when lazy (the
-  /// automaton-construction start-up cost of Sect. 4.2).
+  /// Dictionary tagger for `type`; builds it on first use, in the first
+  /// operator Open() that asks (the automaton-construction start-up cost of
+  /// Sect. 4.2).
   const ie::DictionaryTagger& dictionary_tagger(ie::EntityType type) const;
-
-  /// Forces dictionary construction now (used by benches to time it).
-  void BuildDictionaries() const;
 
   /// Generates Medline-register gold sentences for `type` and trains a CRF
   /// from them. Exposed for tests.

@@ -7,10 +7,16 @@
 #include "web/url.h"
 
 namespace wsie::crawler {
+namespace {
 
-HostShardRouter::HostShardRouter(int num_shards,
-                                 shard::HashRingOptions options)
-    : ring_(num_shards, options) {}
+/// Safety bound on URL-exchange rounds. Every round delivers all pending
+/// exports, so a crawl needs about as many rounds as its longest chain of
+/// cross-host links; 64 only trips on an exchange that never settles.
+constexpr uint64_t kMaxRounds = 64;
+
+}  // namespace
+
+HostShardRouter::HostShardRouter(int num_shards) : ring_(num_shards) {}
 
 int HostShardRouter::ShardForHost(const std::string& host) const {
   return ring_.ShardForKey(host);
@@ -25,7 +31,7 @@ int HostShardRouter::ShardForUrl(const std::string& url) const {
 ShardedCrawl::ShardedCrawl(const web::SimulatedWeb* web,
                            const RelevanceClassifier* classifier,
                            ShardedCrawlOptions options)
-    : router_(options.num_shards, options.ring), options_(options) {
+    : router_(options.num_shards), options_(options) {
   crawlers_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
     CrawlerConfig config = options_.config;
@@ -60,8 +66,7 @@ void ShardedCrawl::Crawl() {
   obs::Counter* exchanged_counter =
       registry.GetCounter("wsie.shard.crawl.urls_exchanged");
 
-  for (;;) {
-    if (options_.max_rounds > 0 && rounds_ >= options_.max_rounds) break;
+  while (rounds_ < kMaxRounds) {
     bool any_work = false;
     for (auto& crawler : crawlers_) {
       if (crawler->crawl_db().Empty()) continue;

@@ -16,8 +16,7 @@ namespace wsie::crawler {
 /// caches and breaker history survive a resize for everything else).
 class HostShardRouter {
  public:
-  explicit HostShardRouter(int num_shards,
-                           shard::HashRingOptions options = {});
+  explicit HostShardRouter(int num_shards);
 
   int ShardForHost(const std::string& host) const;
   /// -1 when the URL does not parse.
@@ -32,9 +31,6 @@ class HostShardRouter {
 /// per shard (each shard is an independent FocusedCrawler).
 struct ShardedCrawlOptions {
   int num_shards = 2;
-  shard::HashRingOptions ring;
-  /// Safety bound on URL-exchange rounds (0 = unlimited).
-  size_t max_rounds = 64;
   CrawlerConfig config;
 };
 
@@ -64,7 +60,7 @@ class ShardedCrawl {
   void InjectSeeds(const std::vector<std::string>& seed_urls);
 
   /// Runs exchange rounds until every shard frontier is empty (or a shard
-  /// stop condition / max_rounds halts progress).
+  /// stop condition / the round bound halts progress).
   void Crawl();
 
   int num_shards() const { return static_cast<int>(crawlers_.size()); }

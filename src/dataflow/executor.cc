@@ -222,9 +222,7 @@ Result<ExecutionResult> Executor::Run(
 
   const std::vector<FusionGroup> groups =
       Optimizer::ComputeFusionGroups(plan, config_.fuse_pipelines);
-  size_t morsel_size =
-      std::max({config_.morsel_records, config_.min_partition_records,
-                static_cast<size_t>(1)});
+  const size_t morsel_size = std::max<size_t>(config_.morsel_records, 1);
 
   for (const FusionGroup& group : groups) {
     const Plan::Node& head = nodes[static_cast<size_t>(group.nodes[0])];

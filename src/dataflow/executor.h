@@ -17,10 +17,8 @@ struct ExecutorConfig {
   ExecutorConfig() = default;
   /// Positional shorthand for the three seed-era knobs; the newer fields
   /// keep their defaults and are set as members.
-  ExecutorConfig(size_t dop_in, size_t budget, size_t min_partition)
-      : dop(dop_in),
-        memory_per_worker_budget(budget),
-        min_partition_records(min_partition) {}
+  ExecutorConfig(size_t dop_in, size_t budget, size_t morsel)
+      : dop(dop_in), memory_per_worker_budget(budget), morsel_records(morsel) {}
 
   /// Degree of parallelism: number of concurrent workers per operator.
   size_t dop = 4;
@@ -30,14 +28,11 @@ struct ExecutorConfig {
   /// needs roughly 60 GB main memory per worker thread, which clearly
   /// exceeds the RAM available on each node").
   size_t memory_per_worker_budget = 0;
-  /// Smallest partition worth dispatching to a worker.
-  size_t min_partition_records = 8;
   /// Fuse chains of record-at-a-time operators into single pipeline stages
   /// (records stream through without intermediate Dataset materialization).
   /// Off = every operator is its own stage; same engine, same outputs.
   bool fuse_pipelines = true;
-  /// Target records per morsel pulled from the shared cursor. The effective
-  /// size is max(morsel_records, min_partition_records, 1).
+  /// Records per morsel pulled from the shared cursor (0 counts as 1).
   size_t morsel_records = 8;
   /// Cache successful Open() calls process-wide, keyed by operator identity,
   /// so expensive start-up (dictionary automaton construction, the Fig. 5

@@ -15,9 +15,9 @@ namespace wsie::obs {
 
 /// One process's observability payload: its full MetricsSnapshot plus its
 /// balanced TraceRecorder streams. Shard workers capture one at fragment
-/// completion and ship it coordinator-ward over the shard transport's obs
-/// control channel (the CollectRemote hop); the coordinator decodes,
-/// re-bases clocks, and merges.
+/// completion and ship it coordinator-ward in their end-of-run control
+/// frame (the CollectRemote hop); the coordinator decodes, re-bases clocks,
+/// and merges.
 struct ObsBundle {
   int shard = -1;
   int os_pid = 0;

@@ -20,9 +20,8 @@ const char* ExchangeKindName(ExchangeKind kind) {
   return "unknown";
 }
 
-RecordPartitioner::RecordPartitioner(size_t num_shards, std::string key_field,
-                                     HashRingOptions ring_options)
-    : ring_(num_shards, ring_options), key_field_(std::move(key_field)) {}
+RecordPartitioner::RecordPartitioner(size_t num_shards, std::string key_field)
+    : ring_(num_shards), key_field_(std::move(key_field)) {}
 
 std::string RecordPartitioner::KeyBytes(const dataflow::Record& record,
                                         const std::string& field) {

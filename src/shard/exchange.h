@@ -34,8 +34,7 @@ const char* ExchangeKindName(ExchangeKind kind);
 /// string (all land on one shard — degenerate but deterministic).
 class RecordPartitioner {
  public:
-  RecordPartitioner(size_t num_shards, std::string key_field,
-                    HashRingOptions ring_options = {});
+  RecordPartitioner(size_t num_shards, std::string key_field);
 
   int ShardFor(const dataflow::Record& record) const;
   const std::string& key_field() const { return key_field_; }

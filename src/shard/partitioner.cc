@@ -5,13 +5,12 @@
 
 namespace wsie::shard {
 
-HashRing::HashRing(size_t num_shards, HashRingOptions options)
+HashRing::HashRing(size_t num_shards)
     : num_shards_(num_shards == 0 ? 1 : num_shards) {
-  const size_t vnodes = std::max<size_t>(1, options.vnodes_per_shard);
-  points_.reserve(num_shards_ * vnodes);
+  points_.reserve(num_shards_ * kVnodesPerShard);
   std::string label;
   for (size_t shard = 0; shard < num_shards_; ++shard) {
-    for (size_t vnode = 0; vnode < vnodes; ++vnode) {
+    for (size_t vnode = 0; vnode < kVnodesPerShard; ++vnode) {
       // The point position depends only on (shard, vnode): adding shards
       // appends new points without moving existing ones.
       label.assign("shard-");

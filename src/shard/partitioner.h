@@ -23,12 +23,11 @@ constexpr uint64_t Mix64(uint64_t x) {
   return x;
 }
 
-struct HashRingOptions {
-  /// Virtual nodes per shard. More vnodes tighten the balance bound
-  /// (relative spread ~ 1/sqrt(vnodes)) at the cost of a larger ring;
-  /// 512 points/shard keeps max/min load within ~1.3 on 10k keys.
-  size_t vnodes_per_shard = 512;
-};
+/// Virtual nodes per shard. More vnodes tighten the balance bound
+/// (relative spread ~ 1/sqrt(vnodes)) at the cost of a larger ring; 512
+/// points/shard keeps max/min load within ~1.3 on 10k keys. Changing it
+/// moves every key, so it is part of the placement contract.
+inline constexpr size_t kVnodesPerShard = 512;
 
 /// A consistent-hash ring over shard ids.
 ///
@@ -40,7 +39,7 @@ struct HashRingOptions {
 /// after the key's hash.
 class HashRing {
  public:
-  explicit HashRing(size_t num_shards, HashRingOptions options = {});
+  explicit HashRing(size_t num_shards);
 
   /// `hash` should already be well-mixed; ShardForKey applies Mix64.
   int ShardForHash(uint64_t hash) const;

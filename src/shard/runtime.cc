@@ -23,6 +23,10 @@ using dataflow::Dataset;
 using dataflow::Plan;
 using dataflow::Record;
 
+/// Field of a worker's control-frame record that carries its encoded
+/// ObsBundle, next to the ShardWorkerStats fields.
+constexpr char kObsBundleField[] = "obs_bundle";
+
 /// The executor a shard-side process (worker or coordinator) runs its
 /// fragments on; `shard_id` labels its metrics.
 dataflow::ExecutorConfig ShardExecutorConfig(const ShardOptions& options,
@@ -30,23 +34,30 @@ dataflow::ExecutorConfig ShardExecutorConfig(const ShardOptions& options,
   dataflow::ExecutorConfig config;
   config.dop = std::max<size_t>(1, options.dop_per_shard);
   config.fuse_pipelines = options.fuse_pipelines;
-  config.cache_opens = options.cache_opens;
+  // Per-shard plan instances are fresh objects every run, so the
+  // process-wide Open() cache could never hit; it would only pin them.
+  config.cache_opens = false;
   config.max_task_retries = options.max_task_retries;
   config.shard_id = shard_id;
   return config;
 }
 
-/// Builds the executable sub-plan of one fragment against a shard's plan
-/// instance: one source per head input edge (named "in0", "in1", ... in
-/// declared order, so the executor's union preserves the serial
-/// concatenation order), the fragment's operator chain, and an "out" sink
-/// at the tail.
-Plan BuildFragmentPlan(const Plan& full, const Fragment& fragment) {
+/// Runs one fragment on `executor`: the fragment's operator chain taken
+/// from this endpoint's plan instance, one source per head input edge
+/// (named "in0", "in1", ... in declared order, so the executor's union
+/// preserves the serial concatenation order) and an "out" sink at the tail.
+Result<dataflow::ExecutionResult> RunFragment(dataflow::Executor* executor,
+                                              const Plan& full,
+                                              const Fragment& fragment,
+                                              std::vector<Dataset> inputs) {
+  if (inputs.empty()) inputs.emplace_back();  // a head always reads a source
   Plan sub;
+  std::map<std::string, Dataset> sources;
   std::vector<int> head_sources;
-  const size_t num_edges = std::max<size_t>(1, fragment.inputs.size());
-  for (size_t e = 0; e < num_edges; ++e) {
-    head_sources.push_back(sub.AddSource("in" + std::to_string(e)));
+  for (size_t e = 0; e < inputs.size(); ++e) {
+    const std::string name = "in" + std::to_string(e);
+    head_sources.push_back(sub.AddSource(name));
+    sources[name] = std::move(inputs[e]);
   }
   int prev = Plan::kInvalidNode;
   for (size_t i = 0; i < fragment.nodes.size(); ++i) {
@@ -55,25 +66,74 @@ Plan BuildFragmentPlan(const Plan& full, const Fragment& fragment) {
                   : sub.AddNode(node.op, {prev});
   }
   sub.MarkSink(prev, "out");
-  return sub;
+  return executor->Run(sub, sources);
 }
 
-/// For each fragment, its outgoing edges: (consumer fragment, edge index).
-std::vector<std::vector<std::pair<int, int>>> ConsumerEdges(
-    const ShardedPlan& splan) {
-  std::vector<std::vector<std::pair<int, int>>> consumers(
-      splan.fragments.size());
-  for (size_t f = 0; f < splan.fragments.size(); ++f) {
-    const Fragment& fragment = splan.fragments[f];
-    for (size_t e = 0; e < fragment.inputs.size(); ++e) {
-      const int producer = fragment.inputs[e].producer_fragment;
-      if (producer >= 0) {
-        consumers[static_cast<size_t>(producer)].push_back(
-            {static_cast<int>(f), static_cast<int>(e)});
-      }
-    }
+/// Fragment outputs an endpoint keeps for its own later readers. `refs`
+/// counts the reads still to come; the last one moves the data out.
+struct Stash {
+  explicit Stash(size_t fragments) : outputs(fragments), refs(fragments, 0) {}
+
+  Dataset Take(int producer) {
+    const size_t p = static_cast<size_t>(producer);
+    return --refs[p] == 0 ? std::exchange(outputs[p], Dataset())
+                          : outputs[p];
   }
-  return consumers;
+
+  std::vector<Dataset> outputs;
+  std::vector<int> refs;
+};
+
+/// Receives one chunk on `channel` from every worker shard and merges them
+/// back into serial order (still tagged).
+Result<Dataset> GatherFromShards(Transport* transport, int channel,
+                                 int num_shards, int to) {
+  std::vector<Dataset> chunks(static_cast<size_t>(num_shards));
+  for (int s = 0; s < num_shards; ++s) {
+    WSIE_ASSIGN_OR_RETURN(chunks[static_cast<size_t>(s)],
+                          transport->Recv(channel, s, to));
+  }
+  return MergeBySeq(std::move(chunks));
+}
+
+/// Partitions tagged `records` by `key` over the ring and sends part t to
+/// shard t.
+Status ScatterByKey(Transport* transport, int channel, int from,
+                    int num_shards, const std::string& key, Dataset records) {
+  std::vector<Dataset> parts = PartitionDataset(
+      std::move(records),
+      RecordPartitioner(static_cast<size_t>(num_shards), key));
+  for (int t = 0; t < num_shards; ++t) {
+    WSIE_RETURN_NOT_OK(transport->Send(channel, from, t,
+                                       std::move(parts[static_cast<size_t>(t)])));
+  }
+  return Status::OK();
+}
+
+void CopyTransportStats(const Transport& transport,
+                        ShardExecutionResult* result) {
+  const TransportStats stats = transport.Stats();
+  result->rows_shuffled = stats.rows;
+  result->bytes_moved = stats.bytes;
+  result->exchange_messages = stats.messages;
+  result->max_hash_skew = stats.max_hash_skew;
+}
+
+/// The status of a finished run. The endpoint whose own work failed sees
+/// the concrete error; its peers see only the knock-on — the abort status
+/// in-process, a closed link across processes — and a closed link reads as
+/// retryable. So a permanent failure wins wherever it happened (workers in
+/// shard order first), then the coordinator's failure, then any worker's.
+Status RunStatus(const std::vector<ShardWorkerStats>& workers,
+                 const Status& coordinator) {
+  for (const ShardWorkerStats& w : workers) {
+    if (!w.status.ok() && !w.status.IsRetryable()) return w.status;
+  }
+  if (!coordinator.ok()) return coordinator;
+  for (const ShardWorkerStats& w : workers) {
+    if (!w.status.ok()) return w.status;
+  }
+  return Status::OK();
 }
 
 struct WorkerEnv {
@@ -84,46 +144,30 @@ struct WorkerEnv {
   const ShardOptions* options = nullptr;
 };
 
-/// The per-shard worker loop: walks fragments in topological order, runs
-/// the sharded ones on this shard's partition with this shard's own
-/// executor (morsel scheduler), and drives the exchange protocol on both
-/// the inbound and outbound side of each fragment.
-ShardWorkerStats RunShardWorker(const WorkerEnv& env) {
+/// Walks the fragments in topological order, runs the sharded ones on this
+/// shard's partition with this shard's own executor (morsel scheduler),
+/// and drives the exchange protocol on both the inbound and outbound side
+/// of each fragment.
+Status RunWorkerFragments(const WorkerEnv& env, ShardWorkerStats* stats) {
   const ShardedPlan& splan = *env.splan;
-  const ShardOptions& options = *env.options;
-  const int num_shards = static_cast<int>(options.num_shards);
+  const int num_shards = static_cast<int>(env.options->num_shards);
   const int coordinator = num_shards;
-  const Stopwatch wall;
+  Transport* transport = env.transport;
+  dataflow::Executor executor(ShardExecutorConfig(*env.options, env.shard));
 
-  ShardWorkerStats stats;
-  stats.shard = env.shard;
-
-  // The worker's root span carries the distributed trace context in its
-  // args ("trace=... parent=..."): the stitched multi-pid trace links this
-  // span to the coordinator's run span through it.
-  char span_name[32];
-  std::snprintf(span_name, sizeof(span_name), "shard.worker.%d", env.shard);
-  obs::ScopedSpan worker_span(
-      span_name, obs::TraceContextArgs(obs::CurrentTraceContext()));
-
-  dataflow::Executor executor(ShardExecutorConfig(options, env.shard));
-
-  auto fail = [&](Status status) {
-    stats.status = std::move(status);
-    stats.wall_seconds = wall.ElapsedSeconds();
-    env.transport->Abort(stats.status);
-    return stats;
-  };
-
-  const auto consumers = ConsumerEdges(splan);
-  std::vector<Dataset> stash(splan.fragments.size());
-  // Remaining reads of each fragment's stashed output (forward consumers).
-  std::vector<int> forward_refs(splan.fragments.size(), 0);
+  // Per fragment: the edges its output leaves this shard on (re-hash or
+  // gather), and in the stash the reads of its forward consumers.
+  std::vector<std::vector<const ExchangeEdge*>> outbound(
+      splan.fragments.size());
+  Stash stash(splan.fragments.size());
   for (const Fragment& fragment : splan.fragments) {
-    if (!fragment.sharded) continue;
     for (const ExchangeEdge& edge : fragment.inputs) {
-      if (edge.kind == ExchangeKind::kForward && edge.producer_fragment >= 0) {
-        ++forward_refs[static_cast<size_t>(edge.producer_fragment)];
+      if (edge.producer_fragment < 0) continue;
+      const size_t producer = static_cast<size_t>(edge.producer_fragment);
+      if (edge.kind == ExchangeKind::kForward) {
+        ++stash.refs[producer];
+      } else {
+        outbound[producer].push_back(&edge);
       }
     }
   }
@@ -132,122 +176,101 @@ ShardWorkerStats RunShardWorker(const WorkerEnv& env) {
     const Fragment& fragment = splan.fragments[fi];
     if (!fragment.sharded) continue;
 
-    std::map<std::string, Dataset> sub_sources;
-    for (size_t e = 0; e < fragment.inputs.size(); ++e) {
-      const ExchangeEdge& edge = fragment.inputs[e];
+    std::vector<Dataset> inputs;
+    for (const ExchangeEdge& edge : fragment.inputs) {
       Dataset input;
       switch (edge.kind) {
-        case ExchangeKind::kForward: {
-          const size_t producer =
-              static_cast<size_t>(edge.producer_fragment);
-          if (--forward_refs[producer] == 0) {
-            input = std::move(stash[producer]);
-            stash[producer].clear();
-          } else {
-            input = stash[producer];
-          }
+        case ExchangeKind::kForward:
+          input = stash.Take(edge.producer_fragment);
           break;
-        }
-        case ExchangeKind::kHash: {
-          const bool from_worker =
-              edge.producer_fragment >= 0 &&
+        case ExchangeKind::kHash:
+          if (edge.producer_fragment >= 0 &&
               splan.fragments[static_cast<size_t>(edge.producer_fragment)]
-                  .sharded;
-          if (from_worker) {
+                  .sharded) {
             // Re-hash: one chunk from every worker, restored to serial
             // order by the tag merge.
-            std::vector<Dataset> chunks(static_cast<size_t>(num_shards));
-            for (int s = 0; s < num_shards; ++s) {
-              auto chunk = env.transport->Recv(edge.channel, s, env.shard);
-              if (!chunk.ok()) return fail(chunk.status());
-              chunks[static_cast<size_t>(s)] = std::move(chunk).value();
-            }
-            input = MergeBySeq(std::move(chunks));
-          } else {
-            auto chunk =
-                env.transport->Recv(edge.channel, coordinator, env.shard);
-            if (!chunk.ok()) return fail(chunk.status());
-            input = std::move(chunk).value();
+            WSIE_ASSIGN_OR_RETURN(
+                input, GatherFromShards(transport, edge.channel, num_shards,
+                                        env.shard));
+            break;
           }
-          break;
-        }
+          [[fallthrough]];
         case ExchangeKind::kBroadcast: {
-          auto chunk =
-              env.transport->Recv(edge.channel, coordinator, env.shard);
-          if (!chunk.ok()) return fail(chunk.status());
-          input = std::move(chunk).value();
+          WSIE_ASSIGN_OR_RETURN(
+              input, transport->Recv(edge.channel, coordinator, env.shard));
           break;
         }
         case ExchangeKind::kGather:
-          return fail(Status::Internal(
-              "shard worker saw a gather input on a sharded fragment"));
+          return Status::Internal(
+              "shard worker saw a gather input on a sharded fragment");
       }
-      stats.records_in += input.size();
-      sub_sources["in" + std::to_string(e)] = std::move(input);
+      stats->records_in += input.size();
+      inputs.push_back(std::move(input));
     }
-    if (fragment.inputs.empty()) sub_sources["in0"] = Dataset();
 
-    Plan sub_plan = BuildFragmentPlan(*env.plan, fragment);
-    auto run = executor.Run(sub_plan, sub_sources);
-    if (!run.ok()) return fail(run.status());
-    for (const auto& op : run->operator_stats) {
-      stats.open_seconds += op.open_seconds;
-      stats.process_seconds += op.process_seconds;
+    WSIE_ASSIGN_OR_RETURN(
+        dataflow::ExecutionResult run,
+        RunFragment(&executor, *env.plan, fragment, std::move(inputs)));
+    for (const auto& op : run.operator_stats) {
+      stats->open_seconds += op.open_seconds;
+      stats->process_seconds += op.process_seconds;
     }
-    stats.task_retries += run->task_retries;
-    Dataset output = std::move(run->sink_outputs["out"]);
-    stats.records_out += output.size();
+    stats->task_retries += run.task_retries;
+    Dataset output = std::move(run.sink_outputs["out"]);
+    stats->records_out += output.size();
 
     // Outbound side: re-hash and gather sends, then the local stash for
     // forward consumers. `uses` counts hand-offs so only the last moves.
-    int uses = forward_refs[fi] > 0 ? 1 : 0;
-    for (const auto& [cf, ce] : consumers[fi]) {
-      const ExchangeEdge& edge =
-          splan.fragments[static_cast<size_t>(cf)].inputs[static_cast<size_t>(ce)];
-      if (edge.kind == ExchangeKind::kHash ||
-          edge.kind == ExchangeKind::kGather) {
-        ++uses;
-      }
-    }
-    if (fragment.sink_gather_channel >= 0) ++uses;
+    size_t uses = outbound[fi].size() +
+                  (fragment.sink_gather_channel >= 0 ? 1 : 0) +
+                  (stash.refs[fi] > 0 ? 1 : 0);
     auto take = [&]() {
       return --uses == 0 ? std::move(output) : Dataset(output);
     };
-    for (const auto& [cf, ce] : consumers[fi]) {
-      const Fragment& consumer = splan.fragments[static_cast<size_t>(cf)];
-      const ExchangeEdge& edge = consumer.inputs[static_cast<size_t>(ce)];
-      if (edge.kind == ExchangeKind::kHash && consumer.sharded) {
-        Dataset outbound = take();
-        // Siblings with equal tags may now split across shards; extend
-        // the tag with the emission index so the merge keeps their order.
-        ExtendSeqTags(&outbound);
-        RecordPartitioner partitioner(options.num_shards, edge.key,
-                                      options.ring);
-        std::vector<Dataset> parts =
-            PartitionDataset(std::move(outbound), partitioner);
-        for (int t = 0; t < num_shards; ++t) {
-          Status sent = env.transport->Send(edge.channel, env.shard, t,
-                                            std::move(parts[static_cast<size_t>(t)]));
-          if (!sent.ok()) return fail(sent);
-        }
-      } else if (edge.kind == ExchangeKind::kGather) {
-        Status sent = env.transport->Send(edge.channel, env.shard,
-                                          coordinator, take());
-        if (!sent.ok()) return fail(sent);
+    for (const ExchangeEdge* edge : outbound[fi]) {
+      if (edge->kind == ExchangeKind::kGather) {
+        WSIE_RETURN_NOT_OK(
+            transport->Send(edge->channel, env.shard, coordinator, take()));
+        continue;
       }
+      Dataset records = take();
+      // Siblings with equal tags may now split across shards; extend the
+      // tag with the emission index so the merge keeps their order.
+      ExtendSeqTags(&records);
+      WSIE_RETURN_NOT_OK(ScatterByKey(transport, edge->channel, env.shard,
+                                      num_shards, edge->key,
+                                      std::move(records)));
     }
     if (fragment.sink_gather_channel >= 0) {
-      Status sent = env.transport->Send(fragment.sink_gather_channel,
-                                        env.shard, coordinator, take());
-      if (!sent.ok()) return fail(sent);
+      WSIE_RETURN_NOT_OK(transport->Send(fragment.sink_gather_channel,
+                                         env.shard, coordinator, take()));
     }
-    if (forward_refs[fi] > 0) stash[fi] = take();
+    if (stash.refs[fi] > 0) stash.outputs[fi] = take();
   }
 
-  if (options.per_shard_finish) {
-    Status finish = options.per_shard_finish(env.shard);
-    if (!finish.ok()) return fail(finish);
+  if (env.options->per_shard_finish) {
+    WSIE_RETURN_NOT_OK(env.options->per_shard_finish(env.shard));
   }
+  return Status::OK();
+}
+
+/// The per-shard worker: runs its fragments under a root span and, on
+/// failure, aborts the transport so its peers unblock.
+ShardWorkerStats RunShardWorker(const WorkerEnv& env) {
+  const Stopwatch wall;
+  ShardWorkerStats stats;
+  stats.shard = env.shard;
+  {
+    // The worker's root span carries the distributed trace context in its
+    // args ("trace=... parent=..."): the stitched multi-pid trace links
+    // this span to the coordinator's run span through it.
+    char span_name[32];
+    std::snprintf(span_name, sizeof(span_name), "shard.worker.%d", env.shard);
+    obs::ScopedSpan worker_span(
+        span_name, obs::TraceContextArgs(obs::CurrentTraceContext()));
+    stats.status = RunWorkerFragments(env, &stats);
+  }
+  if (!stats.status.ok()) env.transport->Abort(stats.status);
   stats.wall_seconds = wall.ElapsedSeconds();
   return stats;
 }
@@ -255,7 +278,7 @@ ShardWorkerStats RunShardWorker(const WorkerEnv& env) {
 /// The coordinator loop: scatters sources and coordinator-fragment outputs
 /// to the workers (assigning the serial-order tags), runs the pipeline
 /// breakers locally, and merges every gather back into serial order.
-Result<std::map<std::string, Dataset>> RunCoordinator(
+Result<std::map<std::string, Dataset>> RunCoordinatorFragments(
     const ShardedPlan& splan, const Plan& plan, Transport* transport,
     const ShardOptions& options,
     const std::map<std::string, Dataset>& sources) {
@@ -264,11 +287,6 @@ Result<std::map<std::string, Dataset>> RunCoordinator(
   std::map<std::string, Dataset> sink_outputs;
 
   dataflow::Executor executor(ShardExecutorConfig(options, coordinator));
-
-  auto fail = [&](Status status) -> Status {
-    transport->Abort(status);
-    return status;
-  };
 
   auto bind_source = [&](const std::string& name) -> Result<Dataset> {
     auto it = sources.find(name);
@@ -279,24 +297,18 @@ Result<std::map<std::string, Dataset>> RunCoordinator(
     return Dataset(it->second);
   };
 
-  // Remaining coordinator-side reads of each coordinator fragment's output:
-  // forwards into other coordinator fragments, plus scatters (hash or
-  // broadcast) into sharded consumers.
-  std::vector<Dataset> stash(splan.fragments.size());
-  std::vector<int> forward_refs(splan.fragments.size(), 0);
+  // Every consumer of a coordinator fragment reads its output here: a
+  // forward into another coordinator fragment, or a hash scatter into a
+  // sharded one. Sharded fragments' outputs live in the workers' stash.
+  auto on_coordinator = [&](int producer) {
+    return producer >= 0 &&
+           !splan.fragments[static_cast<size_t>(producer)].sharded;
+  };
+  Stash stash(splan.fragments.size());
   for (const Fragment& fragment : splan.fragments) {
     for (const ExchangeEdge& edge : fragment.inputs) {
-      if (edge.producer_fragment < 0) continue;
-      const Fragment& from =
-          splan.fragments[static_cast<size_t>(edge.producer_fragment)];
-      if (from.sharded) continue;  // lives in the workers' stash
-      const bool reads_stash =
-          fragment.sharded
-              ? (edge.kind == ExchangeKind::kHash ||
-                 edge.kind == ExchangeKind::kBroadcast)
-              : edge.kind == ExchangeKind::kForward;
-      if (reads_stash) {
-        ++forward_refs[static_cast<size_t>(edge.producer_fragment)];
+      if (on_coordinator(edge.producer_fragment)) {
+        ++stash.refs[static_cast<size_t>(edge.producer_fragment)];
       }
     }
   }
@@ -304,60 +316,40 @@ Result<std::map<std::string, Dataset>> RunCoordinator(
   for (size_t fi = 0; fi < splan.fragments.size(); ++fi) {
     const Fragment& fragment = splan.fragments[fi];
     if (fragment.sharded) {
-      // Scatter this fragment's coordinator-side inputs. One running
-      // counter across all edges: the tag order is the serial
-      // concatenation order the head would see unsharded.
+      // Scatter this fragment's coordinator-side inputs — every one a hash
+      // or broadcast edge. One running counter across all edges: the tag
+      // order is the serial concatenation order the head would see
+      // unsharded.
       int64_t next_seq = 0;
       for (const ExchangeEdge& edge : fragment.inputs) {
-        if (edge.channel < 0) continue;  // worker-side forward/re-hash
         Dataset outbound;
-        if (edge.producer_fragment < 0) {
-          auto bound = bind_source(edge.source_name);
-          if (!bound.ok()) return fail(bound.status());
-          outbound = std::move(bound).value();
+        if (on_coordinator(edge.producer_fragment)) {
+          outbound = stash.Take(edge.producer_fragment);
+        } else if (edge.producer_fragment < 0) {
+          WSIE_ASSIGN_OR_RETURN(outbound, bind_source(edge.source_name));
         } else {
-          const size_t producer =
-              static_cast<size_t>(edge.producer_fragment);
-          if (splan.fragments[producer].sharded) continue;  // worker side
-          if (--forward_refs[producer] == 0) {
-            outbound = std::move(stash[producer]);
-            stash[producer].clear();
-          } else {
-            outbound = stash[producer];
-          }
+          continue;  // forward or re-hash on the worker side
         }
+        TagSerialOrder(&outbound, &next_seq);
         if (edge.kind == ExchangeKind::kHash) {
-          TagSerialOrder(&outbound, &next_seq);
-          RecordPartitioner partitioner(options.num_shards, edge.key,
-                                        options.ring);
-          std::vector<Dataset> parts =
-              PartitionDataset(std::move(outbound), partitioner);
-          for (int t = 0; t < num_shards; ++t) {
-            Status sent = transport->Send(edge.channel, coordinator, t,
-                                          std::move(parts[static_cast<size_t>(t)]));
-            if (!sent.ok()) return fail(sent);
-          }
-        } else if (edge.kind == ExchangeKind::kBroadcast) {
-          TagSerialOrder(&outbound, &next_seq);
-          MarkBroadcast(&outbound);
-          for (int t = 0; t < num_shards; ++t) {
-            Dataset copy =
-                t + 1 < num_shards ? Dataset(outbound) : std::move(outbound);
-            Status sent =
-                transport->Send(edge.channel, coordinator, t, std::move(copy));
-            if (!sent.ok()) return fail(sent);
-          }
+          WSIE_RETURN_NOT_OK(ScatterByKey(transport, edge.channel,
+                                          coordinator, num_shards, edge.key,
+                                          std::move(outbound)));
+          continue;
+        }
+        MarkBroadcast(&outbound);
+        for (int t = 0; t < num_shards; ++t) {
+          Dataset copy =
+              t + 1 < num_shards ? Dataset(outbound) : std::move(outbound);
+          WSIE_RETURN_NOT_OK(
+              transport->Send(edge.channel, coordinator, t, std::move(copy)));
         }
       }
       if (fragment.sink_gather_channel >= 0) {
-        std::vector<Dataset> chunks(static_cast<size_t>(num_shards));
-        for (int s = 0; s < num_shards; ++s) {
-          auto chunk =
-              transport->Recv(fragment.sink_gather_channel, s, coordinator);
-          if (!chunk.ok()) return fail(chunk.status());
-          chunks[static_cast<size_t>(s)] = std::move(chunk).value();
-        }
-        Dataset merged = MergeBySeq(std::move(chunks));
+        WSIE_ASSIGN_OR_RETURN(
+            Dataset merged,
+            GatherFromShards(transport, fragment.sink_gather_channel,
+                             num_shards, coordinator));
         StripShardTags(&merged);
         sink_outputs[fragment.sink_name] = std::move(merged);
       }
@@ -365,57 +357,79 @@ Result<std::map<std::string, Dataset>> RunCoordinator(
     }
 
     // Coordinator fragment: gather its shard-side inputs, bind the rest.
-    std::map<std::string, Dataset> sub_sources;
-    for (size_t e = 0; e < fragment.inputs.size(); ++e) {
-      const ExchangeEdge& edge = fragment.inputs[e];
+    std::vector<Dataset> inputs;
+    for (const ExchangeEdge& edge : fragment.inputs) {
       Dataset input;
       if (edge.kind == ExchangeKind::kGather) {
-        std::vector<Dataset> chunks(static_cast<size_t>(num_shards));
-        for (int s = 0; s < num_shards; ++s) {
-          auto chunk = transport->Recv(edge.channel, s, coordinator);
-          if (!chunk.ok()) return fail(chunk.status());
-          chunks[static_cast<size_t>(s)] = std::move(chunk).value();
-        }
-        input = MergeBySeq(std::move(chunks));
+        WSIE_ASSIGN_OR_RETURN(input, GatherFromShards(transport, edge.channel,
+                                                      num_shards, coordinator));
         StripShardTags(&input);
       } else if (edge.producer_fragment < 0) {
-        auto bound = bind_source(edge.source_name);
-        if (!bound.ok()) return fail(bound.status());
-        input = std::move(bound).value();
+        WSIE_ASSIGN_OR_RETURN(input, bind_source(edge.source_name));
       } else {
-        const size_t producer = static_cast<size_t>(edge.producer_fragment);
-        if (--forward_refs[producer] == 0) {
-          input = std::move(stash[producer]);
-          stash[producer].clear();
-        } else {
-          input = stash[producer];
-        }
+        input = stash.Take(edge.producer_fragment);
       }
-      sub_sources["in" + std::to_string(e)] = std::move(input);
+      inputs.push_back(std::move(input));
     }
-    if (fragment.inputs.empty()) sub_sources["in0"] = Dataset();
-    Plan sub_plan = BuildFragmentPlan(plan, fragment);
-    auto run = executor.Run(sub_plan, sub_sources);
-    if (!run.ok()) return fail(run.status());
-    Dataset output = std::move(run->sink_outputs["out"]);
+    WSIE_ASSIGN_OR_RETURN(
+        dataflow::ExecutionResult run,
+        RunFragment(&executor, plan, fragment, std::move(inputs)));
+    Dataset output = std::move(run.sink_outputs["out"]);
     if (!fragment.sink_name.empty()) {
       sink_outputs[fragment.sink_name] =
-          forward_refs[fi] > 0 ? Dataset(output) : std::move(output);
-      if (forward_refs[fi] > 0) stash[fi] = std::move(output);
-    } else if (forward_refs[fi] > 0) {
-      stash[fi] = std::move(output);
+          stash.refs[fi] > 0 ? Dataset(output) : std::move(output);
     }
+    if (stash.refs[fi] > 0) stash.outputs[fi] = std::move(output);
   }
 
   // Sources marked directly as sinks pass through untouched.
   for (const auto& node : plan.nodes()) {
     if (node.is_source() && !node.sink_name.empty()) {
-      auto bound = bind_source(node.source_name);
-      if (!bound.ok()) return fail(bound.status());
-      sink_outputs[node.sink_name] = std::move(bound).value();
+      WSIE_ASSIGN_OR_RETURN(sink_outputs[node.sink_name],
+                            bind_source(node.source_name));
     }
   }
   return sink_outputs;
+}
+
+/// The coordinator: runs its loop and, on failure, aborts the transport so
+/// the workers unblock.
+Result<std::map<std::string, Dataset>> RunCoordinator(
+    const ShardedPlan& splan, const Plan& plan, Transport* transport,
+    const ShardOptions& options,
+    const std::map<std::string, Dataset>& sources) {
+  auto result =
+      RunCoordinatorFragments(splan, plan, transport, options, sources);
+  if (!result.ok()) transport->Abort(result.status());
+  return result;
+}
+
+/// Receives forked worker `shard`'s end-of-run control frame into `stats`
+/// and `obs` (its bundle, re-based into the coordinator's clock).
+Status ReceiveControlFrame(Transport* hub, int shard, int coordinator,
+                           ShardWorkerStats* stats, ShardObsReport* obs) {
+  WSIE_ASSIGN_OR_RETURN(Dataset frame,
+                        hub->Recv(kControlChannel, shard, coordinator));
+  if (frame.size() != 1) {
+    return Status::Internal("malformed worker control frame");
+  }
+  *stats = ShardWorkerStats::FromRecord(frame.front());
+  const dataflow::Value& blob = frame.front().Field(kObsBundleField);
+  if (!blob.is_string()) {
+    return Status::Internal("worker control frame carries no obs bundle");
+  }
+  WSIE_ASSIGN_OR_RETURN(obs::ObsBundle bundle,
+                        obs::DecodeObsBundle(blob.AsString()));
+  obs->bundle_bytes += blob.AsString().size();
+  // Clock re-base handshake: the bundle carries the sender's NowNs() at
+  // encode time; the receiver-side offset maps the worker's timestamps
+  // into the coordinator's domain (error is bounded by the transfer
+  // latency).
+  obs->offsets_ns.push_back(
+      static_cast<int64_t>(obs::TraceRecorder::Global().NowNs()) -
+      static_cast<int64_t>(bundle.now_ns));
+  obs->per_shard.push_back(std::move(bundle));
+  return Status::OK();
 }
 
 }  // namespace
@@ -520,13 +534,14 @@ Result<ShardExecutionResult> ShardRuntime::Run(
       ->Set(static_cast<double>(options_.num_shards));
   registry.GetCounter("wsie.shard.fragments")->Add(splan.fragments.size());
   registry.GetGauge("wsie.shard.skew")->Set(result->max_hash_skew);
-  uint64_t worker_records = 0;
+  uint64_t total_in = 0, max_in = 0;
   for (const ShardWorkerStats& w : result->workers) {
-    worker_records += w.records_in;
+    total_in += w.records_in;
+    max_in = std::max(max_in, w.records_in);
     registry.GetHistogram("wsie.shard.worker.wall_ns")
         ->Observe(w.wall_seconds * 1e9);
   }
-  registry.GetCounter("wsie.shard.worker.records")->Add(worker_records);
+  registry.GetCounter("wsie.shard.worker.records")->Add(total_in);
   registry.GetCounter("wsie.exchange.rows_shuffled")
       ->Add(result->rows_shuffled);
   registry.GetCounter("wsie.exchange.bytes_moved")->Add(result->bytes_moved);
@@ -545,36 +560,19 @@ Result<ShardExecutionResult> ShardRuntime::Run(
   registry.GetCounter("wsie.exchange.broadcast")->Add(broadcast_edges);
   registry.GetCounter("wsie.exchange.gather")->Add(gather_edges);
 
-  // Per-shard skew report (both execution modes): each worker's share of
-  // the records, the fig5 load-balance table.
-  uint64_t total_in = 0, max_in = 0;
+  // Per-shard skew report (both execution modes; workers are in shard
+  // order): each worker's share of the records, the fig5 load-balance table.
   for (const ShardWorkerStats& w : result->workers) {
-    total_in += w.records_in;
-    max_in = std::max(max_in, w.records_in);
+    const double share = total_in == 0 ? 0.0
+                                       : static_cast<double>(w.records_in) /
+                                             static_cast<double>(total_in);
+    result->obs.skew.push_back(
+        {w.shard, w.records_in, w.process_seconds, share});
   }
-  for (const ShardWorkerStats& w : result->workers) {
-    ShardSkewRow row;
-    row.shard = w.shard;
-    row.records_in = w.records_in;
-    row.process_seconds = w.process_seconds;
-    row.share = total_in == 0
-                    ? 0.0
-                    : static_cast<double>(w.records_in) /
-                          static_cast<double>(total_in);
-    result->obs.skew.push_back(row);
-  }
-  std::sort(result->obs.skew.begin(), result->obs.skew.end(),
-            [](const ShardSkewRow& a, const ShardSkewRow& b) {
-              return a.shard < b.shard;
-            });
-  const double mean_in =
-      result->workers.empty()
-          ? 0.0
-          : static_cast<double>(total_in) /
-                static_cast<double>(result->workers.size());
+  const double mean_in = static_cast<double>(total_in) /
+                         static_cast<double>(result->workers.size());
   registry.GetGauge("wsie.shard.skew.records")
-      ->Set(mean_in == 0.0 ? 0.0
-                           : static_cast<double>(max_in) / mean_in);
+      ->Set(total_in == 0 ? 0.0 : static_cast<double>(max_in) / mean_in);
 
   // Register the remote-collection family even on runs that collect
   // nothing, so the metric manifest always sees it.
@@ -611,12 +609,13 @@ Result<ShardExecutionResult> ShardRuntime::Run(
   return result;
 }
 
+
 Result<ShardExecutionResult> ShardRuntime::RunInProcess(
     const PlanFactory& factory, const ShardedPlan& splan,
     const Plan& coordinator_plan,
     const std::map<std::string, Dataset>& sources) const {
   const size_t num_shards = options_.num_shards;
-  InProcessTransport transport(num_shards, options_.transport_timeout);
+  InProcessTransport transport(num_shards);
 
   std::vector<Plan> worker_plans;
   worker_plans.reserve(num_shards);
@@ -630,13 +629,8 @@ Result<ShardExecutionResult> ShardRuntime::RunInProcess(
       Status::Internal("coordinator did not run");
 
   auto worker_body = [&](size_t s) {
-    WorkerEnv env;
-    env.shard = static_cast<int>(s);
-    env.splan = &splan;
-    env.plan = &worker_plans[s];
-    env.transport = &transport;
-    env.options = &options_;
-    result.workers[s] = RunShardWorker(env);
+    result.workers[s] = RunShardWorker(
+        {static_cast<int>(s), &splan, &worker_plans[s], &transport, &options_});
   };
   auto coordinator_body = [&]() {
     coordinator_result = RunCoordinator(splan, coordinator_plan, &transport,
@@ -659,19 +653,9 @@ Result<ShardExecutionResult> ShardRuntime::RunInProcess(
     for (std::thread& t : workers) t.join();
   }
 
-  // Prefer a concrete worker failure over the knock-on Abort the
-  // coordinator (or its peers) observed.
-  for (const ShardWorkerStats& w : result.workers) {
-    if (!w.status.ok()) return w.status;
-  }
-  if (!coordinator_result.ok()) return coordinator_result.status();
+  WSIE_RETURN_NOT_OK(RunStatus(result.workers, coordinator_result.status()));
   result.sink_outputs = std::move(coordinator_result).value();
-
-  const TransportStats tstats = transport.Stats();
-  result.rows_shuffled = tstats.rows;
-  result.bytes_moved = tstats.bytes;
-  result.exchange_messages = tstats.messages;
-  result.max_hash_skew = tstats.max_hash_skew;
+  CopyTransportStats(transport, &result);
   return result;
 }
 
@@ -680,6 +664,7 @@ Result<ShardExecutionResult> ShardRuntime::RunMultiProcess(
     const Plan& coordinator_plan,
     const std::map<std::string, Dataset>& sources) const {
   const size_t num_shards = options_.num_shards;
+  const int coordinator = static_cast<int>(num_shards);
   std::vector<int> parent_fds(num_shards, -1);
   std::vector<int> child_fds(num_shards, -1);
   std::vector<pid_t> children(num_shards, -1);
@@ -721,36 +706,25 @@ Result<ShardExecutionResult> ShardRuntime::RunMultiProcess(
       // of our own; the inherited trace context stays — it is the causal
       // link back to the coordinator's run span.
       obs::ResetForkedProcessObs();
+      const int shard = static_cast<int>(s);
       SocketTransport child_transport(child_fds[s], num_shards);
-      Plan child_plan = factory(static_cast<int>(s));
-      WorkerEnv env;
-      env.shard = static_cast<int>(s);
-      env.splan = &splan;
-      env.plan = &child_plan;
-      env.transport = &child_transport;
-      env.options = &options_;
-      ShardWorkerStats stats = RunShardWorker(env);
+      Plan child_plan = factory(shard);
+      ShardWorkerStats stats = RunShardWorker(
+          {shard, &splan, &child_plan, &child_transport, &options_});
+      // The end-of-run control frame, sent even after a failure: the stats
+      // record plus this worker's metrics snapshot and trace streams,
+      // captured after the worker span closed.
+      Record control = stats.ToRecord();
+      control.SetField(kObsBundleField,
+                       dataflow::Value(obs::EncodeObsBundle(
+                           obs::CaptureObsBundle(shard))));
       Frame frame;
-      frame.channel = kStatsChannel;
-      frame.from = static_cast<int>(s);
-      frame.to = static_cast<int>(num_shards);
-      EncodeDataset({stats.ToRecord()}, &frame.payload);
+      frame.channel = kControlChannel;
+      frame.from = shard;
+      frame.to = coordinator;
       frame.rows = 1;
+      EncodeDataset({std::move(control)}, &frame.payload);
       WriteFrame(child_fds[s], frame);
-      if (options_.collect_obs) {
-        // The CollectRemote hop: this worker's metrics snapshot and trace
-        // streams, captured after the worker span closed, shipped as one
-        // checksummed blob on the obs control channel.
-        Frame obs_frame;
-        obs_frame.channel = kObsChannel;
-        obs_frame.from = static_cast<int>(s);
-        obs_frame.to = static_cast<int>(num_shards);
-        EncodeDataset({BlobRecord(obs::EncodeObsBundle(
-                          obs::CaptureObsBundle(static_cast<int>(s))))},
-                      &obs_frame.payload);
-        obs_frame.rows = 1;
-        WriteFrame(child_fds[s], obs_frame);
-      }
       ::close(child_fds[s]);
       ::_exit(stats.status.ok() ? 0 : 1);
     }
@@ -759,73 +733,29 @@ Result<ShardExecutionResult> ShardRuntime::RunMultiProcess(
   for (size_t s = 0; s < num_shards; ++s) ::close(child_fds[s]);
 
   ShardExecutionResult result;
-  Status failure;
+  Status coordinator_status;
   {
-    HubTransport hub(parent_fds, options_.transport_timeout);  // owns fds
+    HubTransport hub(parent_fds);  // owns fds
     auto coordinator_result =
         RunCoordinator(splan, coordinator_plan, &hub, options_, sources);
     if (coordinator_result.ok()) {
       result.sink_outputs = std::move(coordinator_result).value();
-      for (size_t s = 0; s < num_shards; ++s) {
-        auto stats_chunk =
-            hub.Recv(kStatsChannel, static_cast<int>(s),
-                     static_cast<int>(num_shards));
-        if (!stats_chunk.ok()) {
-          failure = stats_chunk.status();
-          break;
-        }
-        if (stats_chunk->size() != 1) {
-          failure = Status::Internal("malformed worker stats frame");
-          break;
-        }
-        ShardWorkerStats stats =
-            ShardWorkerStats::FromRecord(stats_chunk->front());
-        if (!stats.status.ok() && failure.ok()) failure = stats.status;
-        result.workers.push_back(std::move(stats));
-      }
-      if (failure.ok() && options_.collect_obs) {
-        for (size_t s = 0; s < num_shards; ++s) {
-          auto obs_chunk = hub.Recv(kObsChannel, static_cast<int>(s),
-                                    static_cast<int>(num_shards));
-          if (!obs_chunk.ok()) {
-            failure = obs_chunk.status();
-            break;
-          }
-          if (obs_chunk->size() != 1) {
-            failure = Status::Internal("malformed obs bundle frame");
-            break;
-          }
-          auto blob = BlobFromRecord(obs_chunk->front());
-          if (!blob.ok()) {
-            failure = blob.status();
-            break;
-          }
-          result.obs.bundle_bytes += blob->size();
-          auto bundle = obs::DecodeObsBundle(*blob);
-          if (!bundle.ok()) {
-            failure = bundle.status();
-            break;
-          }
-          // Clock re-base handshake: the bundle carries the sender's
-          // NowNs() at encode time; the receiver-side offset maps the
-          // worker's timestamps into the coordinator's domain (error is
-          // bounded by the transfer latency).
-          const int64_t offset =
-              static_cast<int64_t>(obs::TraceRecorder::Global().NowNs()) -
-              static_cast<int64_t>(bundle->now_ns);
-          result.obs.offsets_ns.push_back(offset);
-          result.obs.per_shard.push_back(std::move(bundle).value());
-        }
-        if (failure.ok()) result.obs.collected = true;
-      }
     } else {
-      failure = coordinator_result.status();
+      coordinator_status = coordinator_result.status();
     }
-    const TransportStats tstats = hub.Stats();
-    result.rows_shuffled = tstats.rows;
-    result.bytes_moved = tstats.bytes;
-    result.exchange_messages = tstats.messages;
-    result.max_hash_skew = tstats.max_hash_skew;
+    // Every worker reports, also after a failed loop: a failing worker's
+    // control frame holds the concrete error the coordinator only saw as a
+    // closed link.
+    for (int s = 0; s < coordinator; ++s) {
+      ShardWorkerStats stats;
+      stats.shard = s;
+      Status received =
+          ReceiveControlFrame(&hub, s, coordinator, &stats, &result.obs);
+      if (!received.ok() && stats.status.ok()) stats.status = received;
+      result.workers.push_back(std::move(stats));
+    }
+    result.obs.collected = true;
+    CopyTransportStats(hub, &result);
     // HubTransport's destructor closes every fd here, which unblocks any
     // child still waiting in Recv so the reap below cannot hang.
   }
@@ -833,7 +763,7 @@ Result<ShardExecutionResult> ShardRuntime::RunMultiProcess(
     int wstatus = 0;
     ::waitpid(children[s], &wstatus, 0);
   }
-  if (!failure.ok()) return failure;
+  WSIE_RETURN_NOT_OK(RunStatus(result.workers, coordinator_status));
   return result;
 }
 

@@ -1,7 +1,6 @@
 #ifndef WSIE_SHARD_RUNTIME_H_
 #define WSIE_SHARD_RUNTIME_H_
 
-#include <chrono>
 #include <functional>
 #include <map>
 #include <set>
@@ -30,7 +29,6 @@ struct ShardOptions {
   /// Field hash-partitioned at scatter points when no operator declares a
   /// key of its own (`OperatorTraits::partition_key`).
   std::string partition_key = "id";
-  HashRingOptions ring;
   /// Sources replicated to every shard (small dictionary-side inputs).
   std::set<std::string> broadcast_sources;
   bool fuse_pipelines = true;
@@ -38,10 +36,6 @@ struct ShardOptions {
   size_t dop_per_shard = 1;
   /// Per-shard executor task retries (split-correctness under faults).
   int max_task_retries = 0;
-  /// Per-shard plan instances are fresh objects each Run(), so the
-  /// process-wide Open() cache cannot amortize anything across runs;
-  /// default off to keep per-run start-up measurable (and bounded).
-  bool cache_opens = false;
   /// Fork one process per shard and exchange over local socketpairs
   /// instead of running worker threads in-process.
   bool multiprocess = false;
@@ -52,18 +46,12 @@ struct ShardOptions {
   /// plans without shard-to-shard exchanges (the planner's
   /// `has_worker_exchange`); the coordinator still runs concurrently.
   bool sequential_workers = false;
-  std::chrono::milliseconds transport_timeout{120000};
   /// Runs on each worker (in the worker's process) after its last
   /// fragment, before stats are reported — e.g. flushing a per-shard
   /// StoreSink into that shard's segment directory. In multiprocess mode
   /// this executes in the child, so it must communicate via the
   /// filesystem, not captured memory.
   std::function<Status(int shard)> per_shard_finish;
-  /// Collect each worker's ObsBundle (metrics snapshot + trace streams)
-  /// over the obs control channel after its last fragment, and merge/stitch
-  /// them coordinator-side. Multiprocess mode only — in-process workers
-  /// already share the global registry and recorder.
-  bool collect_obs = true;
 };
 
 struct ShardWorkerStats {
@@ -76,7 +64,7 @@ struct ShardWorkerStats {
   uint64_t task_retries = 0;
   Status status;
 
-  /// Wire form for the stats control channel (multiprocess workers).
+  /// Wire form inside a forked worker's end-of-run control frame.
   dataflow::Record ToRecord() const;
   static ShardWorkerStats FromRecord(const dataflow::Record& record);
 };
@@ -92,7 +80,10 @@ struct ShardSkewRow {
 
 /// The distributed-observability output of one sharded run.
 struct ShardObsReport {
-  /// True when worker bundles were collected (multiprocess + collect_obs).
+  /// True when worker bundles were collected: always in multiprocess mode
+  /// (each worker ships its ObsBundle in its control frame), never
+  /// in-process, where workers already share the global registry and
+  /// recorder.
   bool collected = false;
   std::vector<obs::ObsBundle> per_shard;  ///< one bundle per worker shard
   std::vector<int64_t> offsets_ns;        ///< clock re-base per worker

@@ -139,8 +139,66 @@ size_t DatasetBytes(const dataflow::Dataset& records) {
 
 }  // namespace
 
+Result<dataflow::Dataset> Transport::Recv(int channel, int from, int to) {
+  const auto deadline = std::chrono::steady_clock::now() + kRecvTimeout;
+  const auto address = std::make_tuple(channel, from, to);
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (!abort_status_.ok() && channel >= 0) return abort_status_;
+    auto it = mailbox_.find(address);
+    if (it != mailbox_.end() && !it->second.empty()) {
+      dataflow::Dataset records = std::move(it->second.front());
+      it->second.pop_front();
+      return records;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return Status::Timeout("transport: recv timed out on channel " +
+                             std::to_string(channel));
+    }
+    WSIE_RETURN_NOT_OK(AwaitMessage(lock, channel, from, deadline));
+  }
+}
+
+void Transport::Abort(Status status) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!abort_status_.ok()) return;
+    abort_status_ = std::move(status);
+  }
+  parked_.notify_all();
+}
+
+void Transport::Park(int channel, int from, int to,
+                     dataflow::Dataset records) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    mailbox_[{channel, from, to}].push_back(std::move(records));
+  }
+  parked_.notify_all();
+}
+
+Status Transport::abort_status() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return abort_status_;
+}
+
+Frame Transport::StampFrame(int channel, int from, int to,
+                            const dataflow::Dataset& records) {
+  Frame frame;
+  frame.channel = channel;
+  frame.from = from;
+  frame.to = to;
+  frame.rows = static_cast<uint32_t>(records.size());
+  const obs::TraceContext ctx = obs::CurrentTraceContext();
+  frame.trace_id = ctx.trace_id;
+  frame.parent_span = ctx.span_id;
+  EncodeDataset(records, &frame.payload);
+  RecordTraffic(channel, to, records.size(), frame.payload.size());
+  return frame;
+}
+
 TransportStats Transport::Stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   TransportStats stats = stats_;
   for (const auto& [channel, width] : channel_width_) {
     uint64_t total = 0;
@@ -160,64 +218,32 @@ TransportStats Transport::Stats() const {
   return stats;
 }
 
-void Transport::RecordTraffic(int channel, int to, size_t num_shards,
-                              size_t rows, size_t bytes) {
+void Transport::RecordTraffic(int channel, int to, size_t rows,
+                              size_t bytes) {
   if (channel < 0) return;
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.messages;
   stats_.rows += rows;
   stats_.bytes += bytes;
-  if (to >= 0 && static_cast<size_t>(to) < num_shards) {
+  if (to >= 0 && static_cast<size_t>(to) < num_shards_) {
     channel_dest_rows_[{channel, to}] += rows;
-    channel_width_[channel] = num_shards;
+    channel_width_[channel] = num_shards_;
   }
 }
-
-InProcessTransport::InProcessTransport(size_t num_shards,
-                                       std::chrono::milliseconds timeout)
-    : num_shards_(num_shards), timeout_(timeout) {}
 
 Status InProcessTransport::Send(int channel, int from, int to,
                                 dataflow::Dataset records) {
-  RecordTraffic(channel, to, num_shards_, records.size(),
-                DatasetBytes(records));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (aborted_) return abort_status_;
-    boxes_[{channel, from, to}].push_back(std::move(records));
-  }
-  cv_.notify_all();
+  WSIE_RETURN_NOT_OK(abort_status());
+  RecordTraffic(channel, to, records.size(), DatasetBytes(records));
+  Park(channel, from, to, std::move(records));
   return Status::OK();
 }
 
-Result<dataflow::Dataset> InProcessTransport::Recv(int channel, int from,
-                                                   int to) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto deadline = std::chrono::steady_clock::now() + timeout_;
-  const auto key = std::make_tuple(channel, from, to);
-  for (;;) {
-    if (aborted_) return abort_status_;
-    auto it = boxes_.find(key);
-    if (it != boxes_.end() && !it->second.empty()) {
-      dataflow::Dataset records = std::move(it->second.front());
-      it->second.pop_front();
-      return records;
-    }
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return Status::Timeout("transport: recv timed out on channel " +
-                             std::to_string(channel));
-    }
-  }
-}
-
-void InProcessTransport::Abort(Status status) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (aborted_) return;
-    aborted_ = true;
-    abort_status_ = std::move(status);
-  }
-  cv_.notify_all();
+Status InProcessTransport::AwaitMessage(
+    std::unique_lock<std::mutex>& lock, int /*channel*/, int /*from*/,
+    std::chrono::steady_clock::time_point deadline) {
+  parked_.wait_until(lock, deadline);
+  return Status::OK();
 }
 
 Status WriteFrame(int fd, const Frame& frame) {
@@ -241,37 +267,17 @@ Result<Frame> ReadFrame(int fd) {
   return frame;
 }
 
-SocketTransport::SocketTransport(int fd, size_t num_shards)
-    : fd_(fd), num_shards_(num_shards) {}
-
 Status SocketTransport::Send(int channel, int from, int to,
                              dataflow::Dataset records) {
-  if (!abort_status_.ok()) return abort_status_;
-  Frame frame;
-  frame.channel = channel;
-  frame.from = from;
-  frame.to = to;
-  frame.rows = static_cast<uint32_t>(records.size());
-  const obs::TraceContext ctx = obs::CurrentTraceContext();
-  frame.trace_id = ctx.trace_id;
-  frame.parent_span = ctx.span_id;
-  EncodeDataset(records, &frame.payload);
-  RecordTraffic(channel, to, num_shards_, records.size(),
-                frame.payload.size());
-  return WriteFrame(fd_, frame);
+  WSIE_RETURN_NOT_OK(abort_status());
+  return WriteFrame(fd_, StampFrame(channel, from, to, records));
 }
 
-Result<dataflow::Dataset> SocketTransport::Recv(int channel, int from,
-                                                int to) {
-  const auto key = std::make_tuple(channel, from, to);
-  for (;;) {
-    if (!abort_status_.ok()) return abort_status_;
-    auto it = parked_.find(key);
-    if (it != parked_.end() && !it->second.empty()) {
-      dataflow::Dataset records = std::move(it->second.front());
-      it->second.pop_front();
-      return records;
-    }
+Status SocketTransport::AwaitMessage(
+    std::unique_lock<std::mutex>& lock, int /*channel*/, int /*from*/,
+    std::chrono::steady_clock::time_point /*deadline*/) {
+  lock.unlock();
+  Status status = [this]() -> Status {
     WSIE_ASSIGN_OR_RETURN(Frame frame, ReadFrame(fd_));
     // First stamped frame seen by a context-less worker parents its spans.
     if (frame.trace_id != 0 && obs::CurrentTraceContext().trace_id == 0) {
@@ -279,20 +285,16 @@ Result<dataflow::Dataset> SocketTransport::Recv(int channel, int from,
     }
     WSIE_ASSIGN_OR_RETURN(dataflow::Dataset records,
                           DecodeDataset(frame.payload));
-    parked_[{frame.channel, frame.from, frame.to}].push_back(
-        std::move(records));
-  }
+    Park(frame.channel, frame.from, frame.to, std::move(records));
+    return Status::OK();
+  }();
+  lock.lock();
+  return status;
 }
 
-void SocketTransport::Abort(Status status) {
-  if (abort_status_.ok()) abort_status_ = std::move(status);
-}
-
-HubTransport::HubTransport(std::vector<int> worker_fds,
-                           std::chrono::milliseconds timeout)
-    : fds_(std::move(worker_fds)),
-      num_shards_(fds_.size()),
-      timeout_(timeout),
+HubTransport::HubTransport(std::vector<int> worker_fds)
+    : Transport(worker_fds.size()),
+      fds_(std::move(worker_fds)),
       inbuf_(fds_.size()),
       outbuf_(fds_.size()),
       closed_(fds_.size(), false) {
@@ -310,7 +312,7 @@ HubTransport::~HubTransport() {
 
 Status HubTransport::Send(int channel, int from, int to,
                           dataflow::Dataset records) {
-  if (!abort_status_.ok()) return abort_status_;
+  WSIE_RETURN_NOT_OK(abort_status());
   if (to < 0 || static_cast<size_t>(to) >= num_shards_) {
     return Status::InvalidArgument("hub: bad destination shard");
   }
@@ -318,48 +320,32 @@ Status HubTransport::Send(int channel, int from, int to,
     return Status::Unavailable("hub: shard " + std::to_string(to) +
                                " closed its transport");
   }
-  Frame frame;
-  frame.channel = channel;
-  frame.from = from;
-  frame.to = to;
-  frame.rows = static_cast<uint32_t>(records.size());
-  const obs::TraceContext ctx = obs::CurrentTraceContext();
-  frame.trace_id = ctx.trace_id;
-  frame.parent_span = ctx.span_id;
-  EncodeDataset(records, &frame.payload);
-  RecordTraffic(channel, to, num_shards_, records.size(),
-                frame.payload.size());
-  outbuf_[static_cast<size_t>(to)].append(EncodeFrame(frame));
+  outbuf_[static_cast<size_t>(to)].append(
+      EncodeFrame(StampFrame(channel, from, to, records)));
   return Pump(std::chrono::milliseconds(0));
 }
 
-Result<dataflow::Dataset> HubTransport::Recv(int channel, int from, int to) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout_;
-  const auto key = std::make_tuple(channel, from, to);
-  for (;;) {
-    if (!abort_status_.ok()) return abort_status_;
-    auto it = parked_.find(key);
-    if (it != parked_.end() && !it->second.empty()) {
-      dataflow::Dataset records = std::move(it->second.front());
-      it->second.pop_front();
-      return records;
-    }
-    if (from >= 0 && static_cast<size_t>(from) < num_shards_ &&
-        closed_[static_cast<size_t>(from)]) {
-      return Status::Unavailable("hub: shard " + std::to_string(from) +
-                                 " closed before sending channel " +
-                                 std::to_string(channel));
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Status::Timeout("hub: recv timed out on channel " +
-                             std::to_string(channel));
-    }
-    WSIE_RETURN_NOT_OK(Pump(std::chrono::milliseconds(50)));
+void HubTransport::Abort(Status status) {
+  Transport::Abort(std::move(status));
+  for (size_t i = 0; i < fds_.size(); ++i) {
+    outbuf_[i].clear();
+    if (!closed_[i]) ::shutdown(fds_[i], SHUT_WR);
   }
 }
 
-void HubTransport::Abort(Status status) {
-  if (abort_status_.ok()) abort_status_ = std::move(status);
+Status HubTransport::AwaitMessage(
+    std::unique_lock<std::mutex>& lock, int channel, int from,
+    std::chrono::steady_clock::time_point /*deadline*/) {
+  if (from >= 0 && static_cast<size_t>(from) < num_shards_ &&
+      closed_[static_cast<size_t>(from)]) {
+    return Status::Unavailable("hub: shard " + std::to_string(from) +
+                               " closed before sending channel " +
+                               std::to_string(channel));
+  }
+  lock.unlock();
+  Status pumped = Pump(std::chrono::milliseconds(50));
+  lock.lock();
+  return pumped;
 }
 
 Status HubTransport::Pump(std::chrono::milliseconds wait) {
@@ -382,6 +368,9 @@ Status HubTransport::Pump(std::chrono::milliseconds wait) {
                                std::strerror(errno));
   }
   if (ready <= 0) return Status::OK();
+  // After an abort the links are half-closed: relays are dropped, while
+  // frames for the coordinator (control frames above all) are still parked.
+  const bool relaying = abort_status().ok();
   char buf[1 << 16];
   for (size_t p = 0; p < polls.size(); ++p) {
     const size_t i = owners[p];
@@ -411,19 +400,18 @@ Status HubTransport::Pump(std::chrono::milliseconds wait) {
       Frame frame;
       Status error;
       while (ExtractFrame(&inbuf_[i], &frame, &error)) {
+        RecordTraffic(frame.channel, frame.to, frame.rows,
+                      frame.payload.size());
         if (frame.to >= 0 && static_cast<size_t>(frame.to) < num_shards_) {
           // Worker-to-worker traffic: relay the frame verbatim.
-          RecordTraffic(frame.channel, frame.to, num_shards_, frame.rows,
-                        frame.payload.size());
-          outbuf_[static_cast<size_t>(frame.to)].append(EncodeFrame(frame));
-        } else {
-          RecordTraffic(frame.channel, frame.to, num_shards_, frame.rows,
-                        frame.payload.size());
-          auto records = DecodeDataset(frame.payload);
-          if (!records.ok()) return records.status();
-          parked_[{frame.channel, frame.from, frame.to}].push_back(
-              std::move(records).value());
+          if (relaying) {
+            outbuf_[static_cast<size_t>(frame.to)].append(EncodeFrame(frame));
+          }
+          continue;
         }
+        auto records = DecodeDataset(frame.payload);
+        if (!records.ok()) return records.status();
+        Park(frame.channel, frame.from, frame.to, std::move(records).value());
       }
       if (!error.ok()) return error;
     }

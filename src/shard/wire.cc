@@ -102,7 +102,11 @@ Status DecodeValueImpl(std::string_view* in, dataflow::Value* out, int depth) {
         in->remove_prefix(len);
         dataflow::Value value;
         WSIE_RETURN_NOT_OK(DecodeValueImpl(in, &value, depth + 1));
-        object.emplace(std::move(key), std::move(value));
+        // The encoder writes each key once; a repeat would silently drop a
+        // value and re-encode to different bytes.
+        if (!object.emplace(std::move(key), std::move(value)).second) {
+          return Status::InvalidArgument("wire: repeated object key");
+        }
       }
       *out = dataflow::Value(std::move(object));
       return Status::OK();
@@ -179,20 +183,6 @@ Result<dataflow::Dataset> DecodeDataset(std::string_view bytes) {
     return Status::InvalidArgument("wire: trailing bytes after dataset");
   }
   return records;
-}
-
-dataflow::Record BlobRecord(std::string bytes) {
-  dataflow::Record record;
-  record.SetField("blob", dataflow::Value(std::move(bytes)));
-  return record;
-}
-
-Result<std::string> BlobFromRecord(const dataflow::Record& record) {
-  const dataflow::Value& blob = record.Field("blob");
-  if (!blob.is_string()) {
-    return Status::InvalidArgument("wire: record carries no blob field");
-  }
-  return blob.AsString();
 }
 
 }  // namespace wsie::shard

@@ -26,7 +26,8 @@ namespace wsie::shard {
 ///   double             -> 8 fixed little-endian bytes (bit pattern)
 ///   string             -> varint length + raw bytes
 ///   array              -> varint count + elements
-///   object             -> varint count + (string key, value) pairs
+///   object             -> varint count + (string key, value) pairs,
+///                         each key once
 
 void EncodeValue(const dataflow::Value& value, std::string* out);
 /// Decodes one value from the front of `*in`, advancing it past the
@@ -35,12 +36,6 @@ Status DecodeValue(std::string_view* in, dataflow::Value* out);
 
 void EncodeDataset(const dataflow::Dataset& records, std::string* out);
 Result<dataflow::Dataset> DecodeDataset(std::string_view bytes);
-
-/// Control-channel record carrying one opaque binary blob (the CollectRemote
-/// obs bundle rides the dataset framing this way — checksummed end to end by
-/// the frame trailer plus the blob's own container checksum).
-dataflow::Record BlobRecord(std::string bytes);
-Result<std::string> BlobFromRecord(const dataflow::Record& record);
 
 }  // namespace wsie::shard
 

@@ -558,7 +558,6 @@ TEST(ExecutorTest, DeterministicAcrossDopAndFusion) {
 
   ExecutorConfig base;
   base.dop = 1;
-  base.min_partition_records = 1;
   base.morsel_records = 4;
   std::string reference = SinkJson(base, plan, sources);
   ASSERT_FALSE(reference.empty());
@@ -568,7 +567,6 @@ TEST(ExecutorTest, DeterministicAcrossDopAndFusion) {
       for (size_t morsel : {1ul, 4ul, 64ul}) {
         ExecutorConfig config;
         config.dop = dop;
-        config.min_partition_records = 1;
         config.fuse_pipelines = fused;
         config.morsel_records = morsel;
         EXPECT_EQ(SinkJson(config, plan, sources), reference)
@@ -584,7 +582,6 @@ TEST(ExecutorTest, FusedStageStatsReported) {
 
   ExecutorConfig fused;
   fused.dop = 2;
-  fused.min_partition_records = 1;
   fused.morsel_records = 8;
   Executor executor(fused);
   auto result = executor.Run(plan, sources);
@@ -644,7 +641,6 @@ TEST(ExecutorTest, ErrorStopsRemainingMorsels) {
 
   ExecutorConfig config;
   config.dop = 2;
-  config.min_partition_records = 1;
   config.morsel_records = 4;  // 400 records -> 100 morsels
   Executor executor(config);
   auto result = executor.Run(plan, {{"in", MakeNumbers(400)}});
@@ -764,7 +760,6 @@ TEST(ExecutorTest, SharedThreadPoolAcrossExecutors) {
 
   ExecutorConfig config;
   config.dop = 4;
-  config.min_partition_records = 1;
   config.pool = pool;
   Executor first(config);
   Executor second(config);
@@ -818,7 +813,6 @@ TEST(ExecutorTest, TaskRetryRecoversFromTransientFaults) {
   // Reference output from the fault-free plan.
   ExecutorConfig base;
   base.dop = 1;
-  base.min_partition_records = 1;
   base.morsel_records = 8;
   std::string reference = SinkJson(base, MakeChainPlan(), sources);
   ASSERT_FALSE(reference.empty());
@@ -833,7 +827,6 @@ TEST(ExecutorTest, TaskRetryRecoversFromTransientFaults) {
     for (bool fused : {true, false}) {
       ExecutorConfig config;
       config.dop = dop;
-      config.min_partition_records = 1;
       config.morsel_records = 8;
       config.fuse_pipelines = fused;
       config.max_task_retries = 3;
@@ -865,7 +858,6 @@ TEST(ExecutorTest, TransientFaultsFailWithoutRetryBudget) {
   Plan plan = MakeFaultyChainPlan(nullptr, options);
   ExecutorConfig config;
   config.dop = 2;
-  config.min_partition_records = 1;
   config.morsel_records = 8;
   config.max_task_retries = 0;  // seed behavior: first failure is fatal
   Executor executor(config);
@@ -884,7 +876,6 @@ TEST(ExecutorTest, PermanentFaultsExhaustRetryBudget) {
   Plan plan = MakeFaultyChainPlan(&fault_op, options);
   ExecutorConfig config;
   config.dop = 2;
-  config.min_partition_records = 1;
   config.morsel_records = 8;
   config.max_task_retries = 5;
   Executor executor(config);
@@ -915,7 +906,6 @@ TEST(ExecutorTest, RetryPreservesOpenCache) {
 
   ExecutorConfig config;
   config.dop = 1;
-  config.min_partition_records = 1;
   config.max_task_retries = 2;
   Executor executor(config);
   auto result = executor.Run(plan, {{"in", MakeNumbers(8)}});

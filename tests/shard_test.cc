@@ -180,6 +180,12 @@ TEST(WireTest, MalformedTagRejected) {
   std::string huge;
   PutVarint(&huge, 1ull << 40);
   EXPECT_FALSE(DecodeDataset(huge).ok());
+  // An object repeating key "a" ({"a": null, "a": 1}) would otherwise lose
+  // the second value and re-encode to fewer bytes.
+  const std::string repeated_key("\x07\x02\x01" "a" "\x00\x01" "a" "\x03\x02",
+                                 9);
+  in = repeated_key;
+  EXPECT_FALSE(DecodeValue(&in, &out).ok());
 }
 
 TEST(WireTest, VarintOverflowRejected) {
@@ -659,13 +665,22 @@ TEST_F(SplitCorrectnessTest, PermanentFaultFailsTheRun) {
     return ChainPlan({std::make_shared<dataflow::FaultInjectingOperator>(
         EnrichMap(), fault)});
   };
-  ShardOptions options;
-  options.num_shards = 2;
-  options.max_task_retries = 3;
-  ShardRuntime runtime(options);
-  auto result = runtime.Run([&make_faulty](int) { return make_faulty(); },
-                            {{"in", RandomRecords(50, 31)}});
-  EXPECT_FALSE(result.ok());
+  // The operator's permanent (non-retryable) error must surface in both
+  // modes — not the retryable closed link the coordinator observes when a
+  // forked worker exits early.
+  for (bool multiprocess : {false, true}) {
+    ShardOptions options;
+    options.num_shards = 2;
+    options.max_task_retries = 3;
+    options.multiprocess = multiprocess;
+    ShardRuntime runtime(options);
+    auto result = runtime.Run([&make_faulty](int) { return make_faulty(); },
+                              {{"in", RandomRecords(50, 31)}});
+    ASSERT_FALSE(result.ok()) << "multiprocess=" << multiprocess;
+    EXPECT_FALSE(result.status().IsRetryable())
+        << "multiprocess=" << multiprocess << ": "
+        << result.status().ToString();
+  }
 }
 
 // ------------------------------------------------------------ Runtime
@@ -743,6 +758,23 @@ TEST(ShardRuntimeTest, SequentialRejectsMultiprocess) {
   auto result = runtime.Run([](int) { return ChainPlan({EnrichMap()}); },
                             {{"in", RandomRecords(5, 53)}});
   EXPECT_FALSE(result.ok());
+}
+
+TEST(ShardRuntimeTest, CoordinatorFailureOutranksWorkerKnockOns) {
+  // The coordinator fails first (no source bound); the workers only see
+  // the abort — in-process its status, across processes a closed link.
+  for (bool multiprocess : {false, true}) {
+    ShardOptions options;
+    options.num_shards = 3;
+    options.multiprocess = multiprocess;
+    ShardRuntime runtime(options);
+    auto result =
+        runtime.Run([](int) { return ChainPlan({EnrichMap()}); }, {});
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << "multiprocess=" << multiprocess << ": "
+        << result.status().ToString();
+  }
 }
 
 // --------------------------------------------------- Multi-process workers
@@ -939,19 +971,6 @@ TEST(ShardObsCollectTest, MergedCountersAreExactSumsAndForkSafe) {
   }
   EXPECT_NEAR(share, 1.0, 1e-9);
   EXPECT_EQ(skew_records, input.size());
-}
-
-TEST(ShardObsCollectTest, CollectCanBeDisabled) {
-  ShardOptions options;
-  options.num_shards = 2;
-  options.multiprocess = true;
-  options.collect_obs = false;
-  ShardRuntime runtime(options);
-  auto result = runtime.Run([](int) { return ChainPlan({EnrichMap()}); },
-                            {{"in", RandomRecords(20, 73)}});
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_FALSE(result->obs.collected);
-  EXPECT_TRUE(result->obs.per_shard.empty());
 }
 
 TEST(ShardObsCollectTest, EightForkedWorkersStitchIntoOneValidTrace) {
