@@ -192,7 +192,11 @@ class AnnotateSentencesOp : public RecordOperator {
 
 class AnnotatePosOp : public RecordOperator {
  public:
-  explicit AnnotatePosOp(ContextPtr context) : context_(std::move(context)) {}
+  explicit AnnotatePosOp(ContextPtr context)
+      : context_(std::move(context)),
+        overflow_sentences_(obs::MetricsRegistry::Global().GetCounter(
+            obs::WithLabel("wsie.quality.pos_overflow_sentences", "op",
+                           "annotate_pos"))) {}
   std::string name() const override { return "annotate_pos"; }
   OperatorPackage package() const override { return OperatorPackage::kIe; }
   OperatorTraits traits() const override {
@@ -206,7 +210,7 @@ class AnnotatePosOp : public RecordOperator {
 
  protected:
   Status TransformRecord(Record record, Dataset* out) const override {
-    bool any_overflow = false;
+    size_t overflowed = 0;
     Value::Array sentences = record.Field(kFieldSentences).AsArray();
     ForEachSentence(*context_, record,
                     [&](uint32_t sid, size_t, size_t,
@@ -215,7 +219,7 @@ class AnnotatePosOp : public RecordOperator {
                       std::vector<nlp::PosTag> tags =
                           context_->pos_tagger().TagTokens(tokens, &overflow);
                       if (overflow) {
-                        any_overflow = true;
+                        ++overflowed;
                         return;
                       }
                       Value::Array tag_array;
@@ -229,13 +233,19 @@ class AnnotatePosOp : public RecordOperator {
                       }
                     });
     record.SetField(kFieldSentences, Value(std::move(sentences)));
-    if (any_overflow) record.SetField(kFieldPosOverflow, Value(true));
+    if (overflowed > 0) {
+      // The record stays in the flow untagged; count the pitfall so a run
+      // shows how much text the cap dropped from POS (Sect. 5).
+      overflow_sentences_->Add(overflowed);
+      record.SetField(kFieldPosOverflow, Value(true));
+    }
     out->push_back(std::move(record));
     return Status::OK();
   }
 
  private:
   ContextPtr context_;
+  obs::Counter* overflow_sentences_;
 };
 
 /// Common base for the three regex linguistic extractors.

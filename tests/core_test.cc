@@ -7,6 +7,7 @@
 #include "core/operators_ie.h"
 #include "core/pipeline.h"
 #include "corpus/text_generator.h"
+#include "obs/metrics.h"
 
 namespace wsie::core {
 namespace {
@@ -151,6 +152,47 @@ TEST_F(CoreTest, DocumentsToRecordsSchema) {
             static_cast<int64_t>(docs[0].id));
   EXPECT_EQ(records[0].Field(kFieldCorpus).AsString(), "PMC");
   EXPECT_EQ(records[0].Field(kFieldText).AsString(), docs[0].text);
+}
+
+TEST_F(CoreTest, PosOverflowSentencesAreCounted) {
+  // The tokenizer peels trailing punctuation one character at a time, so
+  // "x))...)." is over the POS cap in tokens yet under the splitter's
+  // 2,000-character sentence limit.
+  const std::string over_cap = "x" + std::string(1200, ')') + ".";
+  std::vector<corpus::Document> docs(2);
+  docs[0].id = 1;
+  docs[0].text = over_cap + " A short sentence follows here. " + over_cap;
+  docs[1].id = 2;
+  docs[1].text = "Only one. " + over_cap;
+  size_t expected = 0;
+  for (const corpus::Document& doc : docs) {
+    const std::string_view text = doc.text;
+    for (const text::SentenceSpan& span : context()->splitter().Split(text)) {
+      const size_t tokens =
+          context()
+              ->tokenizer()
+              .Tokenize(text.substr(span.begin, span.length()))
+              .size();
+      if (tokens > context()->config().pos_max_tokens) ++expected;
+    }
+  }
+  ASSERT_EQ(expected, 3u);
+
+  obs::Counter* overflowed = obs::MetricsRegistry::Global().GetCounter(
+      obs::WithLabel("wsie.quality.pos_overflow_sentences", "op",
+                     "annotate_pos"));
+  const uint64_t before = overflowed->Value();
+  FlowOptions options;
+  options.linguistic_analysis = false;
+  options.dictionary_methods = false;
+  options.ml_methods = false;
+  dataflow::Plan plan = BuildAnalysisFlow(context(), options);
+  auto result = RunFlow(plan, docs, dataflow::ExecutorConfig{2, 0, 1});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(overflowed->Value() - before, expected);
+  for (const dataflow::Record& r : result->sink_outputs.at("analyzed")) {
+    EXPECT_TRUE(r.Field(kFieldPosOverflow).AsBool());
+  }
 }
 
 // -------------------------------------------------------- War stories

@@ -144,6 +144,18 @@ TEST(HmmTest, DecodeRequiresFinalize) {
   EXPECT_EQ(hmm.Decode({"a", "cat"}), (std::vector<int>{0, 1}));
 }
 
+TEST(HmmTest, DecodeRefusesMoreStatesThanBackpointersHold) {
+  // Decode() keeps uint8_t backpointers: a model over more states decodes to
+  // no states, as an unfinalized one does. The legacy path has no bound.
+  const int s = TrigramHmm::kMaxDecodeStates + 1;
+  TrigramHmm hmm(s);
+  hmm.AddTrainingSequence(Seq({"the", "dog"}, {0, s - 1}));
+  hmm.Finalize();
+  EXPECT_TRUE(hmm.finalized());
+  EXPECT_TRUE(hmm.Decode({"the", "dog"}).empty());
+  EXPECT_EQ(hmm.DecodeLegacy({"dog"}), (std::vector<int>{s - 1}));
+}
+
 TEST(HmmTest, DecodeIsDeterministic) {
   TrigramHmm hmm(3);
   Rng rng(1);
